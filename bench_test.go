@@ -33,6 +33,7 @@ import (
 	"pride/internal/system"
 	"pride/internal/trace"
 	"pride/internal/tracker"
+	"pride/internal/trialrunner"
 	"pride/internal/workload"
 )
 
@@ -269,12 +270,19 @@ var lossEngine10M = montecarlo.LossConfig{
 //	go test -bench=LossEngine -benchtime=1x
 func BenchmarkLossEngine(b *testing.B) {
 	const seed = 1
-	reference := montecarlo.SimulateLossParallel(lossEngine10M, seed, 1)
+	loss := func(b *testing.B, workers int) montecarlo.LossResult {
+		res, err := montecarlo.SimulateLossCampaign(context.Background(), lossEngine10M, seed, trialrunner.Options{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	reference := loss(b, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			worst := 0.0
 			for i := 0; i < b.N; i++ {
-				res := montecarlo.SimulateLossParallel(lossEngine10M, seed, workers)
+				res := loss(b, workers)
 				if !reflect.DeepEqual(res, reference) {
 					b.Fatalf("workers=%d merged output differs from serial", workers)
 				}
@@ -294,11 +302,18 @@ func BenchmarkAttackSuiteEngine(b *testing.B) {
 	p.RowBits = 13
 	suite := patterns.Fig15Suite(p.RowsPerBank, 8, 1)
 	cfg := sim.AttackConfig{Params: p, ACTs: 100_000}
-	reference := sim.MaxDisturbanceOverSuiteParallel(cfg, sim.PrIDEScheme(), suite, 2, 1, 1)
+	attack := func(b *testing.B, workers int) sim.AttackResult {
+		res, err := sim.MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, sim.PrIDEScheme(), suite, 2, 1, trialrunner.Options{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	reference := attack(b, 1)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := sim.MaxDisturbanceOverSuiteParallel(cfg, sim.PrIDEScheme(), suite, 2, 1, workers)
+				res := attack(b, workers)
 				if res != reference {
 					b.Fatalf("workers=%d merged output differs from serial", workers)
 				}

@@ -165,9 +165,7 @@ func replayTrace(path string, acts int, seed uint64, zoo bool) (*report.Table, e
 }
 
 func fig15(ctx context.Context, nPat, seeds, acts int, seed uint64, workers int, zoo bool, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stderr io.Writer) (*report.Table, error) {
-	p := dram.DDR5()
-	p.RowsPerBank = 8192 // attacks span a small row window; smaller banks are faster
-	p.RowBits = 13
+	p := sim.AttackParams()
 	suite := patterns.Fig15Suite(p.RowsPerBank, nPat, seed)
 	cfg := sim.AttackConfig{Params: p, ACTs: acts}
 
@@ -185,16 +183,7 @@ func fig15(ctx context.Context, nPat, seeds, acts int, seed uint64, workers int,
 		// resumes independently and the progress meter names the scheme.
 		section := "fig15-" + s.Name
 		camp, stop := cf.StartCampaign(ctx, section, len(suite)*seeds, workers, stderr)
-		res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, s, suite, seeds, seed+uint64(len(s.Name)), sim.CampaignOptions{
-			Workers:    workers,
-			Checkpoint: cf.CheckpointAt(section),
-			Progress:   camp,
-			Observer:   camp,
-			Engine:     cf.Engine.Kind,
-			SelfCheck:  cf.SelfCheck,
-			Retry:      cf.RetryPolicy(),
-			Faults:     faults,
-		})
+		res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, s, suite, seeds, seed+uint64(len(s.Name)), cf.Options(section, workers, camp, faults))
 		stop()
 		if err != nil {
 			return nil, err
@@ -215,16 +204,7 @@ func fig18(ctx context.Context, scale, acts int, seed uint64, workers int, cf cl
 		model := analytic.LossProbability(n, w, 1/float64(w))
 		section := fmt.Sprintf("fig18-n%d", n)
 		camp, stop := cf.StartCampaign(ctx, section, len(suite), workers, stderr)
-		measurements, err := sim.MeasureSuiteLossCampaign(ctx, n, w, suite, acts, seed, sim.CampaignOptions{
-			Workers:    workers,
-			Checkpoint: cf.CheckpointAt(section),
-			Progress:   camp,
-			Observer:   camp,
-			Engine:     cf.Engine.Kind,
-			SelfCheck:  cf.SelfCheck,
-			Retry:      cf.RetryPolicy(),
-			Faults:     faults,
-		})
+		measurements, err := sim.MeasureSuiteLossCampaign(ctx, n, w, suite, acts, seed, cf.Options(section, workers, camp, faults))
 		stop()
 		if err != nil {
 			return nil, err

@@ -112,9 +112,7 @@ func engines(scale int) []engine {
 	}
 
 	attackACTs := scaled(200_000, scale, 1_000)
-	ap := dram.DDR5()
-	ap.RowsPerBank = 8192
-	ap.RowBits = 13
+	ap := sim.AttackParams()
 	attackCfg := sim.AttackConfig{Params: ap, ACTs: attackACTs}
 
 	lossActs := scaled(400_000, scale, 1_000)

@@ -29,7 +29,6 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/corpus"
-	"pride/internal/dram"
 	"pride/internal/fuzz"
 	"pride/internal/patterns"
 	"pride/internal/report"
@@ -107,11 +106,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	params := dram.DDR5()
-	params.RowsPerBank = 8192
-	params.RowBits = 13
 	cfg := fuzz.Config{
-		Attack:       sim.AttackConfig{Params: params, ACTs: *acts, SelfCheck: cf.SelfCheck},
+		Attack:       sim.AttackConfig{Params: sim.AttackParams(), ACTs: *acts, SelfCheck: cf.SelfCheck},
 		Generations:  *generations,
 		Islands:      *islands,
 		Population:   *population,
@@ -149,14 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 func search(ctx context.Context, cfg fuzz.Config, scheme sim.Scheme, seed uint64, workers int, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stdout, stderr io.Writer) (fuzz.Result, error) {
 	section := "fuzz-" + scheme.Name
 	camp, stop := cf.StartCampaign(ctx, section, cfg.Epochs(), workers, stderr)
-	res, err := fuzz.SearchCampaign(ctx, cfg, scheme, seed, fuzz.SearchOptions{
-		Workers:    workers,
-		Checkpoint: cf.CheckpointAt(section),
-		Progress:   camp,
-		Observer:   camp,
-		Retry:      cf.RetryPolicy(),
-		Faults:     faults,
-	})
+	res, err := fuzz.SearchCampaign(ctx, cfg, scheme, seed, cf.Options(section, workers, camp, faults))
 	stop()
 	if err != nil {
 		return fuzz.Result{}, err

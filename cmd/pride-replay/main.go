@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		spec, ok := specByName(*wlName)
+		spec, ok := workload.ByName(*wlName)
 		if !ok {
 			fmt.Fprintf(stderr, "unknown workload %q (have %s)\n", *wlName, specNames())
 			return 2
@@ -199,14 +199,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}()
 
 	camp, stop := cf.StartCampaign(ctx, "replay", topo.Shards(), *workers, stderr)
-	res, err := topo.ReplayCampaign(ctx, src, system.ReplayOptions{
-		Workers:    *workers,
-		Checkpoint: cf.CheckpointAt("replay"),
-		Progress:   camp,
-		Observer:   camp,
-		Retry:      cf.RetryPolicy(),
-		Faults:     faults,
-	})
+	res, err := topo.ReplayCampaign(ctx, src, cf.Options("replay", *workers, camp, faults))
 	snap := camp.Snapshot()
 	stop()
 	if err != nil {
@@ -288,16 +281,6 @@ func parseBudgets(s string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// specByName resolves a workload spec by its exact name.
-func specByName(name string) (workload.Spec, bool) {
-	for _, s := range workload.All() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return workload.Spec{}, false
 }
 
 // specNames lists the available workload names for the error message.

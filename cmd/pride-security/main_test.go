@@ -221,7 +221,7 @@ func TestRunFig8ResumesFromCheckpointBitIdentical(t *testing.T) {
 	cfg, seed := fig8TestConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	first := true
-	_, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, montecarlo.CampaignOptions{
+	_, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: base + ".fig8"},
 		Progress: progressFunc(func() {
@@ -252,7 +252,7 @@ func TestRunFig8ResumesFromCheckpointBitIdentical(t *testing.T) {
 	}
 }
 
-// progressFunc adapts a closure to montecarlo.ProgressSink for tests.
+// progressFunc adapts a closure to a campaign Progress sink for tests.
 type progressFunc func()
 
 func (f progressFunc) AddPeriods(int64)     { f() }

@@ -58,15 +58,6 @@ type shootoutReport struct {
 	Rows     []shootoutRow `json:"rows"`
 }
 
-// timingParams is the reduced bank geometry the ns/ACT measurement runs at —
-// the corpus's own scale, so MOAT's per-row state stays cheap to build.
-func timingParams() dram.Params {
-	p := dram.DDR5()
-	p.RowsPerBank = 8192
-	p.RowBits = 13
-	return p
-}
-
 // buildShootout measures every tracker in the zoo and assembles the report.
 func buildShootout(opts shootoutOptions) (shootoutReport, error) {
 	entries, err := corpus.Load(opts.CorpusDir)
@@ -86,7 +77,9 @@ func buildShootout(opts shootoutOptions) (shootoutReport, error) {
 	}
 
 	pat := patterns.TRRespass(500, 6, 2)
-	tp := timingParams()
+	// The ns/ACT measurement runs at the corpus's own (attack) geometry, so
+	// MOAT's per-row state stays cheap to build.
+	tp := sim.AttackParams()
 	rep := shootoutReport{ACTs: opts.ACTs, TTFYears: opts.TTFYears}
 	for _, s := range sim.SearchSchemes() {
 		// Storage is quoted at the paper's full DDR5 geometry (17-bit rows)

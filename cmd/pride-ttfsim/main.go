@@ -31,7 +31,6 @@ import (
 
 	"pride/internal/analytic"
 	"pride/internal/cli"
-	"pride/internal/dram"
 	"pride/internal/report"
 	"pride/internal/sim"
 	"pride/internal/system"
@@ -97,9 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	params := dram.DDR5()
-	params.RowsPerBank = 4096
-	params.RowBits = 12
+	params := system.TTFParams()
 
 	scheme := sim.PrIDEScheme()
 	analyticScheme := analytic.SchemePrIDE
@@ -149,16 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// point resumes independently and the progress meter names it.
 		section := fmt.Sprintf("ttf-trhd%d", d)
 		camp, stop := cf.StartCampaign(ctx, section, *trials, *workers, stderr)
-		mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, *trials, *seed+uint64(d), system.CampaignOptions{
-			Workers:    *workers,
-			Checkpoint: cf.CheckpointAt(section),
-			Progress:   camp,
-			Observer:   camp,
-			Engine:     cf.Engine.Kind,
-			SelfCheck:  cf.SelfCheck,
-			Retry:      cf.RetryPolicy(),
-			Faults:     faults,
-		})
+		mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, *trials, *seed+uint64(d), cf.Options(section, *workers, camp, faults))
 		stop()
 		if err != nil {
 			return cli.FailureCode(err, cf.Checkpoint, stderr)

@@ -29,9 +29,7 @@ func main() {
 // run replays the attack line-up with the given trial length; tests use a
 // shorter budget than the 400k-ACT demo default.
 func run(out io.Writer, acts int) {
-	params := dram.DDR5()
-	params.RowsPerBank = 8192
-	params.RowBits = 13
+	params := sim.AttackParams()
 
 	// The attack line-up: one representative of each published family.
 	attacks := []*patterns.Pattern{

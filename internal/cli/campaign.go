@@ -111,11 +111,24 @@ func (c *CampaignFlags) registerDurability(fs *flag.FlagSet) {
 // RetryPolicy maps the -trial-retries / -trial-deadline flags to the
 // trialrunner policy (retries are attempts beyond the first).
 func (c CampaignFlags) RetryPolicy() trialrunner.RetryPolicy {
-	p := trialrunner.RetryPolicy{Deadline: c.TrialDeadline}
-	if c.TrialRetries > 0 {
-		p.Attempts = c.TrialRetries + 1
-	}
+	p := trialrunner.Retries(c.TrialRetries)
+	p.Deadline = c.TrialDeadline
 	return p
+}
+
+// Options assembles one section's campaign options from the flags, with
+// camp as Progress sink and Observer and ChaosContext's faults.
+func (c CampaignFlags) Options(section string, workers int, camp *obs.Campaign, faults trialrunner.TrialFaults) trialrunner.Options {
+	return trialrunner.Options{
+		Workers:    workers,
+		Checkpoint: c.CheckpointAt(section),
+		Progress:   camp,
+		Observer:   camp,
+		Engine:     c.Engine.Kind,
+		SelfCheck:  c.SelfCheck,
+		Retry:      c.RetryPolicy(),
+		Faults:     faults,
+	}
 }
 
 // Injector parses the -chaos schedule into a fault injector, or returns nil

@@ -13,7 +13,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-// searchSink is a ProgressSink that can cancel a context after a fixed
+// searchSink is a Progress sink that can cancel a context after a fixed
 // number of completed epochs — the test stand-in for a SIGINT landing
 // mid-search.
 type searchSink struct {
@@ -39,7 +39,7 @@ func TestSearchCampaignIsWorkerInvariant(t *testing.T) {
 	want := Search(cfg, sim.PrIDEScheme(), 11) // default workers
 	for _, workers := range []int{1, 2, 5} {
 		got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 11,
-			SearchOptions{Workers: workers})
+			trialrunner.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,7 +54,7 @@ func TestSearchCampaignMeters(t *testing.T) {
 	cfg := fuzzConfig()
 	sink := &searchSink{}
 	_, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 11,
-		SearchOptions{Workers: 2, Progress: sink})
+		trialrunner.Options{Workers: 2, Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSearchCampaignResumeIsBitIdentical(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "search.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			sink := &searchSink{cancel: cancel, cancelAfter: cancelAfter}
-			_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), seed, SearchOptions{
+			_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), seed, trialrunner.Options{
 				Workers:    workers,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 				Progress:   sink,
@@ -94,7 +94,7 @@ func TestSearchCampaignResumeIsBitIdentical(t *testing.T) {
 				t.Fatalf("cancelAfter=%d workers=%d: no checkpoint after interrupt: %v", cancelAfter, workers, err)
 			}
 
-			got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), seed, SearchOptions{
+			got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), seed, trialrunner.Options{
 				Workers:    workers%3 + 1,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 			})
@@ -118,7 +118,7 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &searchSink{cancel: cancel, cancelAfter: 1}
-	_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), 5, SearchOptions{
+	_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), 5, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 		Progress:   sink,
@@ -129,7 +129,7 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 	}
 
 	// Resuming under a different seed is a different experiment.
-	_, err = SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, SearchOptions{
+	_, err = SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 	})
@@ -138,7 +138,7 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 	}
 
 	// ForceFresh archives the stale file and completes.
-	got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, SearchOptions{
+	got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path, ForceFresh: true},
 	})

@@ -151,39 +151,6 @@ type Result struct {
 	Evaluations int
 }
 
-// ProgressSink receives coarse progress counters from a running search, one
-// update per completed epoch. internal/obs.Campaign satisfies it
-// structurally; a sink is observation-only and cannot perturb determinism.
-type ProgressSink interface {
-	// AddActivations records n freshly-simulated demand activations.
-	AddActivations(n int64)
-}
-
-// SearchOptions configures a cancellable, checkpointable, observable search
-// campaign. The zero value runs inline at trialrunner.DefaultWorkers() with
-// no checkpoint and no metering.
-type SearchOptions struct {
-	// Workers is the pool size islands are evaluated on within an epoch;
-	// 0 selects trialrunner.DefaultWorkers(). Workers never affects the
-	// result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the canonical experiment key (configuration + seed,
-	// never the worker count). The checkpoint granularity is one epoch.
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-epoch counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-epoch lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Retry bounds re-execution of panicked epochs; a retried epoch replays
-	// the identical derived streams, so recovered runs stay bit-identical.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into epoch
-	// execution and checkpoint I/O (chaos testing). Production runs leave
-	// it nil.
-	Faults trialrunner.TrialFaults
-}
-
 // SearchKey is the canonical checkpoint key of a search campaign:
 // everything the evolution and evaluations depend on (configuration, scheme
 // name, seed, engine) and nothing else — never the worker count.
@@ -200,7 +167,7 @@ func SearchKey(cfg Config, s sim.Scheme, seed uint64) string {
 // keeping the historical fail-loud contract of the single-threaded climber
 // it replaced.
 func Search(cfg Config, scheme sim.Scheme, seed uint64) Result {
-	res, err := SearchCampaign(context.Background(), cfg, scheme, seed, SearchOptions{})
+	res, err := SearchCampaign(context.Background(), cfg, scheme, seed, trialrunner.Options{})
 	trialrunner.MustPanicFree(err)
 	return res
 }
@@ -209,15 +176,16 @@ func Search(cfg Config, scheme sim.Scheme, seed uint64) Result {
 // cancellation with graceful drain (the in-flight epoch completes and lands
 // in the checkpoint), durable epoch-granularity checkpoint/resume, and
 // progress metering. The result is bit-identical at any worker count and
-// across any interrupt/resume split.
-func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uint64, opts SearchOptions) (Result, error) {
+// across any interrupt/resume split. opts.Workers sizes the island pool
+// inside each epoch; the epochs run in order on one worker. The engine is
+// cfg.Engine (part of the key), so opts.Engine and opts.SelfCheck are unused.
+func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uint64, opts trialrunner.Options) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	epochs := cfg.Epochs()
-	cp := opts.Checkpoint
-	if cp.Enabled() && cp.Key == "" {
-		cp.Key = SearchKey(cfg, scheme, seed)
+	if opts.Checkpoint.Key == "" {
+		opts.Checkpoint.Key = SearchKey(cfg, scheme, seed)
 	}
 
 	// Epochs form a dependency chain (epoch e evolves epoch e-1's migrated
@@ -228,8 +196,8 @@ func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uin
 	// fresh epochs before the next epoch starts.
 	states := make([]epochState, epochs)
 	have := make([]bool, epochs)
-	if cp.Enabled() {
-		stored, err := trialrunner.LoadCheckpoint(cp, epochs)
+	if opts.Checkpoint.Enabled() {
+		stored, err := trialrunner.LoadCheckpoint(opts.Checkpoint, epochs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -241,14 +209,9 @@ func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uin
 		}
 	}
 
-	var onDone func(e int, st epochState) error
-	if sink := opts.Progress; sink != nil {
-		onDone = func(e int, st epochState) error {
-			sink.AddActivations(int64(cfg.evaluationsIn(e)) * int64(cfg.Attack.ACTs))
-			return nil
-		}
-	}
-	_, err := trialrunner.MapCheckpointedWorker(ctx, epochs,
+	epochOpts := opts
+	epochOpts.Workers = 1
+	_, err := trialrunner.Map(ctx, epochs,
 		func(_, e int) epochState {
 			var in []IslandState
 			if e > 0 {
@@ -265,9 +228,11 @@ func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uin
 			have[e] = true
 			return st
 		},
-		onDone,
-		trialrunner.Options{Workers: 1, Observer: opts.Observer, Retry: opts.Retry, Faults: opts.Faults},
-		cp)
+		func(e int, st epochState) error {
+			opts.AddActivations(int64(cfg.evaluationsIn(e)) * int64(cfg.Attack.ACTs))
+			return nil
+		},
+		epochOpts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -295,11 +260,8 @@ func (c Config) streamIndex(e, island int) uint64 {
 // (islands initialize their populations) and the previous epoch's migrated
 // states otherwise.
 func runEpoch(cfg Config, scheme sim.Scheme, seed uint64, e int, in []IslandState, workers int) epochState {
-	if workers == 0 {
-		workers = trialrunner.DefaultWorkers()
-	}
 	gens := cfg.generationsIn(e)
-	out := trialrunner.Map(workers, cfg.Islands, func(i int) IslandState {
+	out, err := trialrunner.Map(context.Background(), cfg.Islands, func(_, i int) IslandState {
 		r := rng.Derived(seed, cfg.streamIndex(e, i))
 		var st IslandState
 		if e == 0 {
@@ -309,7 +271,8 @@ func runEpoch(cfg Config, scheme sim.Scheme, seed uint64, e int, in []IslandStat
 		}
 		evolve(cfg, scheme, &st, gens, r)
 		return st
-	})
+	}, nil, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
 	migrate(out)
 	return epochState{Islands: out}
 }

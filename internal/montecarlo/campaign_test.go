@@ -16,7 +16,7 @@ func checkpointAt(path string) trialrunner.Checkpoint {
 	return trialrunner.Checkpoint{Path: path}
 }
 
-// cancellingSink is a ProgressSink that cancels a context after a fixed
+// cancellingSink is a Progress sink that cancels a context after a fixed
 // number of chunk completions — the test stand-in for a SIGINT landing
 // mid-campaign.
 type cancellingSink struct {
@@ -45,21 +45,22 @@ func (s *cancellingSink) AddMitigations(n int64) {
 }
 
 func TestLossCampaignMatchesParallel(t *testing.T) {
+	// The serial (Workers 1) campaign matches a parallel one.
 	c := cfg(2, 12*4096)
-	want := SimulateLossParallel(c, 99, 3)
-	got, err := SimulateLossCampaign(context.Background(), c, 99, CampaignOptions{Workers: 2})
+	want := lossAt(c, 99, 1)
+	got, err := SimulateLossCampaign(context.Background(), c, 99, trialrunner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("campaign result differs from parallel engine")
+		t.Fatal("parallel campaign result differs from the serial one")
 	}
 }
 
 func TestLossCampaignProgressTotals(t *testing.T) {
 	c := cfg(2, 9*4096)
 	sink := &cancellingSink{}
-	res, err := SimulateLossCampaign(context.Background(), c, 3, CampaignOptions{Workers: 2, Progress: sink})
+	res, err := SimulateLossCampaign(context.Background(), c, 3, trialrunner.Options{Workers: 2, Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestLossCampaignProgressTotals(t *testing.T) {
 func TestLossCampaignResumeIsBitIdentical(t *testing.T) {
 	c := cfg(2, 16*4096)
 	const seed = 42
-	want := SimulateLossParallel(c, seed, 1)
+	want := lossAt(c, seed, 1)
 
 	cancelPoints := []int{1, 8, 15}
 	if testing.Short() {
@@ -88,7 +89,7 @@ func TestLossCampaignResumeIsBitIdentical(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "loss.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			sink := &cancellingSink{cancel: cancel, cancelAfter: cancelAfter}
-			_, err := SimulateLossCampaign(ctx, c, seed, CampaignOptions{
+			_, err := SimulateLossCampaign(ctx, c, seed, trialrunner.Options{
 				Workers:    workers,
 				Checkpoint: checkpointAt(path),
 				Progress:   sink,
@@ -101,7 +102,7 @@ func TestLossCampaignResumeIsBitIdentical(t *testing.T) {
 				t.Fatalf("cancelAfter=%d workers=%d: no checkpoint after interrupt: %v", cancelAfter, workers, err)
 			}
 
-			got, err := SimulateLossCampaign(context.Background(), c, seed, CampaignOptions{
+			got, err := SimulateLossCampaign(context.Background(), c, seed, trialrunner.Options{
 				Workers:    workers%3 + 1,
 				Checkpoint: checkpointAt(path),
 			})
@@ -123,11 +124,11 @@ func TestLossCampaignRejectsForeignCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loss.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancellingSink{cancel: cancel, cancelAfter: 1}
-	_, _ = SimulateLossCampaign(ctx, c, 7, CampaignOptions{Workers: 1, Checkpoint: checkpointAt(path), Progress: sink})
+	_, _ = SimulateLossCampaign(ctx, c, 7, trialrunner.Options{Workers: 1, Checkpoint: checkpointAt(path), Progress: sink})
 	cancel()
 
 	// Same path, different seed: the auto key must reject the resume.
-	_, err := SimulateLossCampaign(context.Background(), c, 8, CampaignOptions{Workers: 1, Checkpoint: checkpointAt(path)})
+	_, err := SimulateLossCampaign(context.Background(), c, 8, trialrunner.Options{Workers: 1, Checkpoint: checkpointAt(path)})
 	if err == nil {
 		t.Fatal("campaign resumed a checkpoint written under a different seed")
 	}
@@ -136,18 +137,18 @@ func TestLossCampaignRejectsForeignCheckpoint(t *testing.T) {
 func TestRoundsCampaignResumeIsBitIdentical(t *testing.T) {
 	rc := RoundConfig{Entries: 2, Window: w79, InsertionProb: 1.0 / w79, TRH: 500, Rounds: 8 * 512}
 	const seed = 11
-	want := SimulateRoundsParallel(rc, seed, 1)
+	want := roundsAt(rc, seed, 1)
 
 	path := filepath.Join(t.TempDir(), "rounds.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancellingSink{cancel: cancel, cancelAfter: 3}
-	_, err := SimulateRoundsCampaign(ctx, rc, seed, CampaignOptions{Workers: 2, Checkpoint: checkpointAt(path), Progress: sink})
+	_, err := SimulateRoundsCampaign(ctx, rc, seed, trialrunner.Options{Workers: 2, Checkpoint: checkpointAt(path), Progress: sink})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 
-	got, err := SimulateRoundsCampaign(context.Background(), rc, seed, CampaignOptions{Workers: 3, Checkpoint: checkpointAt(path)})
+	got, err := SimulateRoundsCampaign(context.Background(), rc, seed, trialrunner.Options{Workers: 3, Checkpoint: checkpointAt(path)})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}

@@ -30,7 +30,7 @@ func TestChaosCampaignBitIdentical(t *testing.T) {
 	}
 
 	want, err := SimulateLossCampaign(context.Background(), cfg, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Event})
+		trialrunner.Options{Workers: 2, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestChaosCampaignBitIdentical(t *testing.T) {
 	camp := obs.NewCampaign("chaos", trials, 2)
 	cp := trialrunner.Checkpoint{Path: t.TempDir() + "/chaos.ckpt", RetryBackoff: time.Microsecond}
 
-	got, err := SimulateLossCampaign(context.Background(), cfg, seed, CampaignOptions{
+	got, err := SimulateLossCampaign(context.Background(), cfg, seed, trialrunner.Options{
 		Workers:    2,
 		Checkpoint: cp,
 		Progress:   camp,
@@ -94,7 +94,7 @@ func TestForcedTripEveryTrialFallsBackToExact(t *testing.T) {
 	trials := LossCampaignTrials(cfg)
 
 	exact, err := SimulateLossCampaign(context.Background(), cfg, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
+		trialrunner.Options{Workers: 2, Engine: engine.Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestForcedTripEveryTrialFallsBackToExact(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteEngineTrip, faultinject.Trigger{Every: 1})
 	camp := obs.NewCampaign("trip-all", trials, 2)
-	got, err := SimulateLossCampaign(context.Background(), cfg, seed, CampaignOptions{
+	got, err := SimulateLossCampaign(context.Background(), cfg, seed, trialrunner.Options{
 		Workers:  2,
 		Progress: camp,
 		Observer: camp,
@@ -126,13 +126,13 @@ func TestRoundsForcedTripFallsBackToExact(t *testing.T) {
 	cfg := RoundConfig{Entries: 4, Window: 16, InsertionProb: 0.5, TRH: 64, Rounds: 2048}
 	const seed = 3
 	exact, err := SimulateRoundsCampaign(context.Background(), cfg, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
+		trialrunner.Options{Workers: 2, Engine: engine.Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteEngineTrip, faultinject.Trigger{Every: 1})
-	got, err := SimulateRoundsCampaign(context.Background(), cfg, seed, CampaignOptions{
+	got, err := SimulateRoundsCampaign(context.Background(), cfg, seed, trialrunner.Options{
 		Workers: 2,
 		Engine:  engine.Event,
 		Faults:  inj,
@@ -170,11 +170,11 @@ func TestSelfCheckInvariance(t *testing.T) {
 	}
 
 	// Campaign-level SelfCheck (the -selfcheck flag path) is equally inert.
-	plain, err := SimulateLossCampaign(context.Background(), lcfg, 5, CampaignOptions{Workers: 2})
+	plain, err := SimulateLossCampaign(context.Background(), lcfg, 5, trialrunner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := SimulateLossCampaign(context.Background(), lcfg, 5, CampaignOptions{Workers: 2, SelfCheck: true})
+	guarded, err := SimulateLossCampaign(context.Background(), lcfg, 5, trialrunner.Options{Workers: 2, SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/engine"
 	"pride/internal/rng"
+	"pride/internal/trialrunner"
 )
 
 // countingStream wraps a stream to count raw draws, pinning the event
@@ -222,7 +223,7 @@ func TestEventCampaignWorkerInvariance(t *testing.T) {
 	c := cfg(2, 10*4096)
 	var want LossResult
 	for i, workers := range []int{1, 2, 5} {
-		got, err := SimulateLossCampaign(context.Background(), c, 77, CampaignOptions{
+		got, err := SimulateLossCampaign(context.Background(), c, 77, trialrunner.Options{
 			Workers: workers, Engine: engine.Event,
 		})
 		if err != nil {
@@ -238,11 +239,11 @@ func TestEventCampaignWorkerInvariance(t *testing.T) {
 	}
 
 	rc := RoundConfig{Entries: 2, Window: w79, InsertionProb: 1.0 / w79, TRH: 400, Rounds: 6 * 512}
-	a, err := SimulateRoundsCampaign(context.Background(), rc, 9, CampaignOptions{Workers: 1, Engine: engine.Event})
+	a, err := SimulateRoundsCampaign(context.Background(), rc, 9, trialrunner.Options{Workers: 1, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateRoundsCampaign(context.Background(), rc, 9, CampaignOptions{Workers: 4, Engine: engine.Event})
+	b, err := SimulateRoundsCampaign(context.Background(), rc, 9, trialrunner.Options{Workers: 4, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestEventCampaignWorkerInvariance(t *testing.T) {
 func TestEventCampaignResumeIsBitIdentical(t *testing.T) {
 	c := cfg(2, 12*4096)
 	const seed = 42
-	want, err := SimulateLossCampaign(context.Background(), c, seed, CampaignOptions{Workers: 1, Engine: engine.Event})
+	want, err := SimulateLossCampaign(context.Background(), c, seed, trialrunner.Options{Workers: 1, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestEventCampaignResumeIsBitIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loss-event.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancellingSink{cancel: cancel, cancelAfter: 4}
-	_, err = SimulateLossCampaign(ctx, c, seed, CampaignOptions{
+	_, err = SimulateLossCampaign(ctx, c, seed, trialrunner.Options{
 		Workers: 2, Engine: engine.Event, Checkpoint: checkpointAt(path), Progress: sink,
 	})
 	cancel()
@@ -272,7 +273,7 @@ func TestEventCampaignResumeIsBitIdentical(t *testing.T) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 
-	got, err := SimulateLossCampaign(context.Background(), c, seed, CampaignOptions{
+	got, err := SimulateLossCampaign(context.Background(), c, seed, trialrunner.Options{
 		Workers: 3, Engine: engine.Event, Checkpoint: checkpointAt(path),
 	})
 	if err != nil {
@@ -300,11 +301,11 @@ func TestEngineKeysSeparateCheckpoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loss.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancellingSink{cancel: cancel, cancelAfter: 1}
-	_, _ = SimulateLossCampaign(ctx, c, 7, CampaignOptions{
+	_, _ = SimulateLossCampaign(ctx, c, 7, trialrunner.Options{
 		Workers: 1, Engine: engine.Exact, Checkpoint: checkpointAt(path), Progress: sink,
 	})
 	cancel()
-	_, err := SimulateLossCampaign(context.Background(), c, 7, CampaignOptions{
+	_, err := SimulateLossCampaign(context.Background(), c, 7, trialrunner.Options{
 		Workers: 1, Engine: engine.Event, Checkpoint: checkpointAt(path),
 	})
 	if err == nil {

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -8,7 +9,22 @@ import (
 	"testing"
 
 	"pride/internal/rng"
+	"pride/internal/trialrunner"
 )
+
+// lossAt and roundsAt run the campaign forms at a worker count with no
+// context and no checkpoint; a failing chunk fails loudly.
+func lossAt(cfg LossConfig, seed uint64, workers int) LossResult {
+	res, err := SimulateLossCampaign(context.Background(), cfg, seed, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
+	return res
+}
+
+func roundsAt(cfg RoundConfig, seed uint64, workers int) RoundResult {
+	res, err := SimulateRoundsCampaign(context.Background(), cfg, seed, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
+	return res
+}
 
 // workerGrid is the satellite-mandated determinism grid: serial, a small
 // pool, and the machine's full width.
@@ -30,9 +46,9 @@ func TestSimulateLossParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		t.Run(fmt.Sprintf("N=%d_W=%d_P=%d", cfg.Entries, cfg.Window, cfg.Periods), func(t *testing.T) {
-			want := SimulateLossParallel(cfg, 42, 1)
+			want := lossAt(cfg, 42, 1)
 			for _, workers := range workerGrid()[1:] {
-				got := SimulateLossParallel(cfg, 42, workers)
+				got := lossAt(cfg, 42, workers)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("workers=%d diverged from serial:\n got %+v\nwant %+v", workers, got, want)
 				}
@@ -43,12 +59,12 @@ func TestSimulateLossParallelDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSimulateRoundsParallelDeterministicAcrossWorkers(t *testing.T) {
 	cfg := RoundConfig{Entries: 4, Window: 79, InsertionProb: 1.0 / 79, TRH: 2000, Rounds: 4000}
-	want := SimulateRoundsParallel(cfg, 7, 1)
+	want := roundsAt(cfg, 7, 1)
 	if want.Rounds != cfg.Rounds {
 		t.Fatalf("merged rounds = %d, want %d", want.Rounds, cfg.Rounds)
 	}
 	for _, workers := range workerGrid()[1:] {
-		if got := SimulateRoundsParallel(cfg, 7, workers); got != want {
+		if got := roundsAt(cfg, 7, workers); got != want {
 			t.Fatalf("workers=%d: %+v != serial %+v", workers, got, want)
 		}
 	}
@@ -56,7 +72,7 @@ func TestSimulateRoundsParallelDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSimulateLossParallelCountersAddUp(t *testing.T) {
 	cfg := LossConfig{Entries: 4, Window: 79, InsertionProb: 1.0 / 79, Periods: 40_000}
-	res := SimulateLossParallel(cfg, 3, 4)
+	res := lossAt(cfg, 3, 4)
 	// Every simulated window contributes exactly one start-occupancy count.
 	total := uint64(0)
 	for _, c := range res.StartOccupancy {
@@ -79,7 +95,7 @@ func TestSimulateLossParallelAgreesWithSerialEstimator(t *testing.T) {
 	// single-stream engine within Monte-Carlo noise.
 	cfg := LossConfig{Entries: 1, Window: 79, InsertionProb: 1.0 / 79, Periods: 120_000}
 	serial := SimulateLoss(cfg, rng.New(11))
-	par := SimulateLossParallel(cfg, 11, 4)
+	par := lossAt(cfg, 11, 4)
 	a, b := serial.PerPosition[0].LossProb(), par.PerPosition[0].LossProb()
 	if math.Abs(a-b) > 0.05 {
 		t.Fatalf("serial %.4f and parallel %.4f estimates diverge", a, b)
@@ -98,10 +114,10 @@ func TestSimulateLossParallelPanicsOnBadInput(t *testing.T) {
 	}
 	bad := good
 	bad.Periods = 0
-	mustPanic("zero periods", func() { SimulateLossParallel(bad, 1, 1) })
-	mustPanic("zero workers", func() { SimulateLossParallel(good, 1, 0) })
+	mustPanic("zero periods", func() { lossAt(bad, 1, 1) })
+	mustPanic("negative workers", func() { lossAt(good, 1, -1) })
 	mustPanic("zero rounds", func() {
-		SimulateRoundsParallel(RoundConfig{Entries: 1, Window: 10, InsertionProb: 0.1, TRH: 10}, 1, 1)
+		roundsAt(RoundConfig{Entries: 1, Window: 10, InsertionProb: 0.1, TRH: 10}, 1, 1)
 	})
 }
 

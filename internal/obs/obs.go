@@ -82,22 +82,20 @@ func (c *Campaign) TrialEnd(_ int, d time.Duration) {
 // interrupted run left off.
 func (c *Campaign) SkipTrials(n int) { c.trialsSkipped.Add(int64(n)) }
 
-// AddPeriods records n simulated tREFI periods (montecarlo.ProgressSink,
-// system.ProgressSink).
+// AddPeriods records n simulated tREFI periods (the loss, rounds and TTF
+// campaigns report them on trialrunner.Options.Progress).
 func (c *Campaign) AddPeriods(n int64) { c.periods.Add(n) }
 
 // AddMitigations records n mitigations issued.
 func (c *Campaign) AddMitigations(n int64) { c.mitigations.Add(n) }
 
-// AddActivations records n simulated demand activations (sim.ProgressSink).
+// AddActivations records n simulated demand activations.
 func (c *Campaign) AddActivations(n int64) { c.activations.Add(n) }
 
-// AddRecords records n trace records demuxed by a replay frontend
-// (system.ReplaySink).
+// AddRecords records n trace records demuxed by a replay frontend.
 func (c *Campaign) AddRecords(n int64) { c.records.Add(n) }
 
-// AddBytes records n trace bytes consumed by a replay frontend
-// (system.ReplaySink).
+// AddBytes records n trace bytes consumed by a replay frontend.
 func (c *Campaign) AddBytes(n int64) { c.bytes.Add(n) }
 
 // AddTrialRetries records n retried trial attempts (trialrunner's retry

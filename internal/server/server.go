@@ -377,13 +377,17 @@ func (s *Server) attempt(j *Job, a int) (res any, err error) {
 	if workers == 0 {
 		workers = s.cfg.CampaignWorkers
 	}
-	res, err = j.prep.run(actx, runOpts{
-		workers:    workers,
-		checkpoint: trialrunner.Checkpoint{Path: filepath.Join(s.ckptDir, j.ID+".ckpt")},
-		retry:      j.spec.trialRetry(),
-		faults:     s.cfg.Faults,
-		camp:       s.camp,
-	})
+	opts := trialrunner.Options{
+		Workers:    workers,
+		Checkpoint: trialrunner.Checkpoint{Path: filepath.Join(s.ckptDir, j.ID+".ckpt")},
+		Progress:   s.camp,
+		Observer:   s.camp,
+		Retry:      trialrunner.Retries(j.spec.TrialRetries),
+	}
+	if s.cfg.Faults != nil {
+		opts.Faults = s.cfg.Faults
+	}
+	res, err = j.prep.run(actx, opts)
 	if err != nil && s.runCtx.Err() == nil && errors.Is(actx.Err(), context.DeadlineExceeded) {
 		// The attempt's own deadline fired, not a drain. The campaign
 		// checkpointed its completed trials on the way out, so the retry

@@ -3,18 +3,13 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
 	"pride/internal/engine"
-	"pride/internal/faultinject"
 	"pride/internal/montecarlo"
-	"pride/internal/obs"
 	"pride/internal/patterns"
 	"pride/internal/sim"
 	"pride/internal/system"
@@ -119,53 +114,14 @@ type ReplaySpec struct {
 	TRH int `json:"trh"`
 }
 
-// runOpts carries the server-side execution environment into a prepared
-// campaign run. Nothing in it reaches a result.
-type runOpts struct {
-	workers    int
-	checkpoint trialrunner.Checkpoint
-	retry      trialrunner.RetryPolicy
-	faults     *faultinject.Injector
-	camp       *obs.Campaign
-}
-
-// campaignFaults narrows the server's injector to the campaigns' Faults
-// field without ever producing a typed-nil interface.
-func (o runOpts) campaignFaults() trialrunner.TrialFaults {
-	if o.faults == nil {
-		return nil
-	}
-	return o.faults
-}
-
 // prepared is a validated, runnable form of a Spec: its canonical cache key
 // (the exact checkpoint key the equivalent CLI run would use) and a run
-// function producing the JSON-encodable result.
+// function producing the JSON-encodable result. run takes the server's
+// execution options, none of which reaches a result, and sets the engine
+// itself because the key embeds it.
 type prepared struct {
 	key string
-	run func(ctx context.Context, o runOpts) (any, error)
-}
-
-// engineKind resolves the spec's engine string.
-func (s Spec) engineKind() (engine.Kind, error) {
-	switch s.Engine {
-	case "", "event":
-		return engine.Event, nil
-	case "exact":
-		return engine.Exact, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want \"event\" or \"exact\")", s.Engine)
-	}
-}
-
-// trialRetry maps the spec's execution hints to the campaigns' trial-level
-// retry policy.
-func (s Spec) trialRetry() trialrunner.RetryPolicy {
-	p := trialrunner.RetryPolicy{}
-	if s.TrialRetries > 0 {
-		p.Attempts = s.TrialRetries + 1
-	}
-	return p
+	run func(ctx context.Context, opts trialrunner.Options) (any, error)
 }
 
 // prepare validates the spec into the existing config structs and returns
@@ -181,22 +137,31 @@ func (s Spec) prepare() (prepared, error) {
 	if set != 1 {
 		return prepared{}, fmt.Errorf("exactly one of security/attack/ttfsim/replay must be set, got %d", set)
 	}
+	// The engine field takes the CLI spellings; its absence means the CLIs'
+	// default, the event engine.
+	eng := engine.Event
+	if s.Engine != "" {
+		var err error
+		if eng, err = engine.Parse(s.Engine); err != nil {
+			return prepared{}, err
+		}
+	}
 	switch s.Kind {
 	case "security":
 		if s.Security == nil {
 			return prepared{}, fmt.Errorf("kind %q requires the %q sub-spec", s.Kind, s.Kind)
 		}
-		return s.prepareSecurity()
+		return s.prepareSecurity(eng)
 	case "attack":
 		if s.Attack == nil {
 			return prepared{}, fmt.Errorf("kind %q requires the %q sub-spec", s.Kind, s.Kind)
 		}
-		return s.prepareAttack()
+		return s.prepareAttack(eng)
 	case "ttfsim":
 		if s.TTF == nil {
 			return prepared{}, fmt.Errorf("kind %q requires the %q sub-spec", s.Kind, s.Kind)
 		}
-		return s.prepareTTF()
+		return s.prepareTTF(eng)
 	case "replay":
 		if s.Replay == nil {
 			return prepared{}, fmt.Errorf("kind %q requires the %q sub-spec", s.Kind, s.Kind)
@@ -213,7 +178,7 @@ type SecurityResult struct {
 	Detail    montecarlo.LossResult `json:"detail"`
 }
 
-func (s Spec) prepareSecurity() (prepared, error) {
+func (s Spec) prepareSecurity(eng engine.Kind) (prepared, error) {
 	sub := *s.Security
 	p := dram.DDR5()
 	if sub.Window == 0 {
@@ -235,27 +200,12 @@ func (s Spec) prepareSecurity() (prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
 	}
-	eng, err := s.engineKind()
-	if err != nil {
-		return prepared{}, err
-	}
 	seed := s.Seed
 	return prepared{
 		key: montecarlo.LossCampaignKey(cfg, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
-			copts := montecarlo.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			res, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, copts)
+		run: func(ctx context.Context, opts trialrunner.Options) (any, error) {
+			opts.Engine = eng
+			res, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +214,7 @@ func (s Spec) prepareSecurity() (prepared, error) {
 	}, nil
 }
 
-func (s Spec) prepareAttack() (prepared, error) {
+func (s Spec) prepareAttack(eng engine.Kind) (prepared, error) {
 	sub := *s.Attack
 	scheme, err := sim.SchemeByName(sub.Scheme)
 	if err != nil {
@@ -279,17 +229,8 @@ func (s Spec) prepareAttack() (prepared, error) {
 	if sub.Patterns < 1 || sub.Seeds < 1 {
 		return prepared{}, fmt.Errorf("attack: patterns and seeds must be >= 1, got %d and %d", sub.Patterns, sub.Seeds)
 	}
-	p := dram.DDR5()
-	// Attacks span a small row window; the smaller bank matches
-	// pride-attack's Fig 15 setup and its checkpoint keys.
-	p.RowsPerBank = 8192
-	p.RowBits = 13
-	cfg := sim.AttackConfig{Params: p, ACTs: sub.ACTs, TRH: sub.TRH, SelfCheck: s.SelfCheck}
+	cfg := sim.AttackConfig{Params: sim.AttackParams(), ACTs: sub.ACTs, TRH: sub.TRH, SelfCheck: s.SelfCheck}
 	if err := cfg.Validate(); err != nil {
-		return prepared{}, err
-	}
-	eng, err := s.engineKind()
-	if err != nil {
 		return prepared{}, err
 	}
 	seed := s.Seed
@@ -297,21 +238,10 @@ func (s Spec) prepareAttack() (prepared, error) {
 	seeds := sub.Seeds
 	return prepared{
 		key: sim.AttackCampaignKey(cfg, scheme, nPat, seeds, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		run: func(ctx context.Context, opts trialrunner.Options) (any, error) {
 			suite := patterns.Fig15Suite(cfg.Params.RowsPerBank, nPat, seed)
-			copts := sim.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, scheme, suite, seeds, seed, copts)
+			opts.Engine = eng
+			res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, scheme, suite, seeds, seed, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -327,7 +257,7 @@ type TTFResult struct {
 	Trials      int     `json:"trials"`
 }
 
-func (s Spec) prepareTTF() (prepared, error) {
+func (s Spec) prepareTTF(eng engine.Kind) (prepared, error) {
 	sub := *s.TTF
 	scheme, err := sim.SchemeByName(sub.Scheme)
 	if err != nil {
@@ -336,13 +266,8 @@ func (s Spec) prepareTTF() (prepared, error) {
 	if sub.Trials < 1 {
 		return prepared{}, fmt.Errorf("ttfsim: trials must be >= 1, got %d", sub.Trials)
 	}
-	params := dram.DDR5()
-	// The smaller bank matches pride-ttfsim's setup and its checkpoint
-	// keys: TTF depends on tracker behaviour, not bank capacity.
-	params.RowsPerBank = 4096
-	params.RowBits = 12
 	cfg := system.Config{
-		Params:    params,
+		Params:    system.TTFParams(),
 		Banks:     sub.Banks,
 		TRH:       sub.TRH,
 		MaxTREFI:  sub.MaxTREFI,
@@ -351,28 +276,13 @@ func (s Spec) prepareTTF() (prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
 	}
-	eng, err := s.engineKind()
-	if err != nil {
-		return prepared{}, err
-	}
 	seed := s.Seed
 	trials := sub.Trials
 	return prepared{
 		key: system.MTTFCampaignKey(cfg, scheme, trials, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
-			copts := system.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, trials, seed, copts)
+		run: func(ctx context.Context, opts trialrunner.Options) (any, error) {
+			opts.Engine = eng
+			mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, trials, seed, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -422,15 +332,8 @@ func (s Spec) prepareReplay() (prepared, error) {
 			return tr, func() { f.Close() }, nil
 		}
 	} else {
-		var wspec workload.Spec
-		found := false
-		for _, w := range workload.All() {
-			if w.Name == sub.Workload {
-				wspec, found = w, true
-				break
-			}
-		}
-		if !found {
+		wspec, ok := workload.ByName(sub.Workload)
+		if !ok {
 			return prepared{}, fmt.Errorf("replay: unknown workload %q", sub.Workload)
 		}
 		if sub.ACTs < 1 {
@@ -465,7 +368,7 @@ func (s Spec) prepareReplay() (prepared, error) {
 		closeSrc()
 		return prepared{}, err
 	}
-	records, crc, err := fingerprint(src)
+	records, crc, err := system.Fingerprint(src)
 	closeSrc()
 	if err != nil {
 		return prepared{}, err
@@ -473,7 +376,7 @@ func (s Spec) prepareReplay() (prepared, error) {
 
 	return prepared{
 		key: system.ReplayCampaignKey(tcfg, records, crc),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		run: func(ctx context.Context, opts trialrunner.Options) (any, error) {
 			topo, err := system.NewTopology(tcfg)
 			if err != nil {
 				return nil, err
@@ -483,17 +386,7 @@ func (s Spec) prepareReplay() (prepared, error) {
 				return nil, err
 			}
 			defer closeSrc()
-			ropts := system.ReplayOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				ropts.Progress = o.camp
-				ropts.Observer = o.camp
-			}
-			res, err := topo.ReplayCampaign(ctx, faultedSource(src, o.faults), ropts)
+			res, err := topo.ReplayCampaign(ctx, faultedSource(src, opts.Faults), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -507,40 +400,17 @@ func (s Spec) prepareReplay() (prepared, error) {
 	}, nil
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// fingerprint drains src counting records and computing the same CRC-32C
-// over their little-endian bytes that the replay demux computes, so the
-// cache key a submission is filed under equals the checkpoint key the
-// campaign itself derives.
-func fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
-	var (
-		batch [4096]uint64
-		le    [4096 * 8]byte
-	)
-	for {
-		n, rerr := src.ReadBatch(batch[:])
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(le[i*8:], batch[i])
-		}
-		crc = crc32.Update(crc, castagnoli, le[:n*8])
-		records += uint64(n)
-		if rerr == io.EOF {
-			return records, crc, nil
-		}
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-	}
-}
-
 // faultSource wraps a replay source with the trace.read fault site: a chaos
 // schedule can fail a read mid-demux and watch the job-level retry absorb
 // it.
 type faultSource struct {
 	trace.Source
-	in *faultinject.Injector
+	in traceFaults
 }
+
+// traceFaults is the trace.read fault-site capability of a campaign's Faults
+// (faultinject.Injector implements it).
+type traceFaults interface{ TraceReadFault() error }
 
 func (f faultSource) ReadBatch(dst []uint64) (int, error) {
 	if err := f.in.TraceReadFault(); err != nil {
@@ -549,10 +419,11 @@ func (f faultSource) ReadBatch(dst []uint64) (int, error) {
 	return f.Source.ReadBatch(dst)
 }
 
-// faultedSource wraps src when an injector is armed; a nil injector returns
-// src untouched.
-func faultedSource(src trace.Source, in *faultinject.Injector) trace.Source {
-	if in == nil {
+// faultedSource wraps src when faults carries the trace.read site; with no
+// faults armed it returns src untouched.
+func faultedSource(src trace.Source, faults trialrunner.TrialFaults) trace.Source {
+	in, ok := faults.(traceFaults)
+	if !ok {
 		return src
 	}
 	return faultSource{Source: src, in: in}

@@ -1,11 +1,18 @@
 package server
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"pride/internal/addrmap"
+	"pride/internal/dram"
 	"pride/internal/engine"
 	"pride/internal/montecarlo"
+	"pride/internal/sim"
+	"pride/internal/system"
+	"pride/internal/trialrunner"
+	"pride/internal/workload"
 )
 
 func TestSpecPrepareValidation(t *testing.T) {
@@ -40,15 +47,61 @@ func TestSecurityKeyMatchesCLIKey(t *testing.T) {
 	// The server's cache key must be the exact checkpoint key the
 	// equivalent CLI run derives — that identity is what makes a CLI
 	// checkpoint and a server cache entry interchangeable descriptions of
-	// the same computation.
-	spec := Spec{Kind: "security", Seed: 42, Security: &SecuritySpec{Entries: 2, Window: 16, Periods: 1000}}
+	// the same computation. Each want is built the way its CLI builds it.
+	cases := []struct {
+		kind string
+		spec Spec
+		want string
+	}{
+		{"security", Spec{Kind: "security", Seed: 42, Security: &SecuritySpec{Entries: 2, Window: 16, Periods: 1000}},
+			montecarlo.LossCampaignKey(montecarlo.LossConfig{Entries: 2, Window: 16, InsertionProb: 1.0 / 16, Periods: 1000}, 42, engine.Event)},
+		{"attack", Spec{Kind: "attack", Seed: 5, Attack: &AttackSpec{Scheme: "PrIDE", ACTs: 20000, Patterns: 3, Seeds: 2}},
+			sim.AttackCampaignKey(sim.AttackConfig{Params: sim.AttackParams(), ACTs: 20000}, sim.PrIDEScheme(), 3, 2, 5, engine.Event)},
+		{"ttfsim", Spec{Kind: "ttfsim", Seed: 3, Engine: "exact", TTF: &TTFSpec{Scheme: "PrIDE", Banks: 2, TRH: 150, MaxTREFI: 300, Trials: 4}},
+			system.MTTFCampaignKey(system.Config{Params: system.TTFParams(), Banks: 2, TRH: 150, MaxTREFI: 300}, sim.PrIDEScheme(), 4, 3, engine.Exact)},
+	}
+	for _, c := range cases {
+		p, err := c.spec.prepare()
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		if p.key != c.want {
+			t.Errorf("%s key = %q, want %q", c.kind, p.key, c.want)
+		}
+	}
+}
+
+func TestReplayJobKeyMatchesDirectCampaign(t *testing.T) {
+	// The daemon files a replay job under a key computed by fingerprinting
+	// the source before the run; it must equal the checkpoint key a direct
+	// ReplayCampaign of the same generated workload derives.
+	const mapping = "col=6 bank=2 row=10 rank=0 chan=1 xor=0"
+	spec := Spec{Kind: "replay", Seed: 9, Replay: &ReplaySpec{
+		Workload: "lbm", Mapping: mapping, ACTs: 5000, Scheme: "PrIDE", TRH: 500,
+	}}
 	p, err := spec.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := montecarlo.LossConfig{Entries: 2, Window: 16, InsertionProb: 1.0 / 16, Periods: 1000}
-	if want := montecarlo.LossCampaignKey(cfg, 42, engine.Event); p.key != want {
-		t.Fatalf("key = %q, want %q", p.key, want)
+	wl, ok := workload.ByName("lbm")
+	if !ok {
+		t.Fatal("workload lbm missing")
+	}
+	m, err := addrmap.ParseMapping(mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := system.TopologyConfig{Params: dram.DDR5(), Mapping: m, Scheme: sim.PrIDEScheme(), TRH: 500, Seed: 9}
+	topo, err := system.NewTopology(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := topo.ReplayCampaign(context.Background(), workload.NewAddrSource(wl, m, 5000, 9), trialrunner.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := system.ReplayCampaignKey(tcfg, res.Records, res.CRC32); p.key != want {
+		t.Fatalf("replay job key = %q, want %q", p.key, want)
 	}
 }
 

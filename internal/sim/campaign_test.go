@@ -12,7 +12,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-// attackSink is a ProgressSink that can cancel a context after a fixed
+// attackSink is a Progress sink that can cancel a context after a fixed
 // number of completed trials — the test stand-in for a SIGINT landing
 // mid-campaign.
 type attackSink struct {
@@ -41,15 +41,16 @@ func (s *attackSink) AddMitigations(n int64) {
 }
 
 func TestAttackCampaignMatchesParallel(t *testing.T) {
+	// The serial (Workers 1) campaign matches a parallel one.
 	suite := parallelSuite(5)
 	cfg := attackCfg(10_000)
-	want := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, 2, 77, 2)
-	got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77, CampaignOptions{Workers: 3})
+	want := suiteAt(cfg, PrIDEScheme(), suite, 2, 77, 1)
+	got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77, trialrunner.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("campaign %+v differs from parallel %+v", got, want)
+		t.Fatalf("parallel campaign %+v differs from serial %+v", got, want)
 	}
 }
 
@@ -57,7 +58,7 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 	suite := parallelSuite(9)
 	cfg := attackCfg(5_000)
 	const seeds, baseSeed = 3, 13
-	want := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, seeds, baseSeed, 1)
+	want := suiteAt(cfg, PrIDEScheme(), suite, seeds, baseSeed, 1)
 
 	cancelPoints := []int{2, 7, 11}
 	if testing.Short() {
@@ -68,7 +69,7 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "attack.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			sink := &attackSink{cancel: cancel, cancelAfter: cancelAfter}
-			_, err := MaxDisturbanceOverSuiteCampaign(ctx, cfg, PrIDEScheme(), suite, seeds, baseSeed, CampaignOptions{
+			_, err := MaxDisturbanceOverSuiteCampaign(ctx, cfg, PrIDEScheme(), suite, seeds, baseSeed, trialrunner.Options{
 				Workers:    workers,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 				Progress:   sink,
@@ -81,7 +82,7 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 				t.Fatalf("cancelAfter=%d workers=%d: no checkpoint after interrupt: %v", cancelAfter, workers, err)
 			}
 
-			got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, seeds, baseSeed, CampaignOptions{
+			got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, seeds, baseSeed, trialrunner.Options{
 				Workers:    workers%3 + 1,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 			})
@@ -100,17 +101,18 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 }
 
 func TestSuiteLossCampaignMatchesParallelAndMeters(t *testing.T) {
+	// The serial (Workers 1) campaign matches a metered parallel one.
 	suite := parallelSuite(21)
 	const acts, baseSeed = 30_000, 3
-	want := MeasureSuiteLossParallel(64, 79, suite, acts, baseSeed, 2)
+	want := suiteLossAt(64, 79, suite, acts, baseSeed, 1)
 
 	sink := &attackSink{}
-	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, baseSeed, CampaignOptions{Workers: 3, Progress: sink})
+	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, baseSeed, trialrunner.Options{Workers: 3, Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("campaign measurements differ from parallel engine")
+		t.Fatal("parallel campaign measurements differ from the serial ones")
 	}
 	if sink.activations != int64(len(suite))*acts {
 		t.Fatalf("sink saw %d activations, campaign replayed %d", sink.activations, int64(len(suite))*acts)
@@ -123,12 +125,12 @@ func TestSuiteLossCampaignMatchesParallelAndMeters(t *testing.T) {
 func TestSuiteLossCampaignResumeIsBitIdentical(t *testing.T) {
 	suite := parallelSuite(4)
 	const acts, baseSeed = 20_000, 17
-	want := MeasureSuiteLossParallel(64, 79, suite, acts, baseSeed, 1)
+	want := suiteLossAt(64, 79, suite, acts, baseSeed, 1)
 
 	path := filepath.Join(t.TempDir(), "suiteloss.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &attackSink{cancel: cancel, cancelAfter: 1}
-	_, err := MeasureSuiteLossCampaign(ctx, 64, 79, suite, acts, baseSeed, CampaignOptions{
+	_, err := MeasureSuiteLossCampaign(ctx, 64, 79, suite, acts, baseSeed, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 		Progress:   sink,
@@ -138,7 +140,7 @@ func TestSuiteLossCampaignResumeIsBitIdentical(t *testing.T) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 
-	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, baseSeed, CampaignOptions{
+	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, baseSeed, trialrunner.Options{
 		Workers:    2,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 	})

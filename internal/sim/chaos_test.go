@@ -8,6 +8,7 @@ import (
 	"pride/internal/engine"
 	"pride/internal/faultinject"
 	"pride/internal/obs"
+	"pride/internal/trialrunner"
 )
 
 // TestAttackForcedTripFallsBackToExact forces a guard trip on every
@@ -19,7 +20,7 @@ func TestAttackForcedTripFallsBackToExact(t *testing.T) {
 	cfg := attackCfg(10_000)
 	const seeds, baseSeed = 2, 77
 	exact, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, seeds, baseSeed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
+		trialrunner.Options{Workers: 2, Engine: engine.Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestAttackForcedTripFallsBackToExact(t *testing.T) {
 	trials := len(suite) * seeds
 	camp := obs.NewCampaign("attack-trip", trials, 2)
 	got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, seeds, baseSeed,
-		CampaignOptions{Workers: 2, Engine: engine.Event, Progress: camp, Observer: camp, Faults: inj})
+		trialrunner.Options{Workers: 2, Engine: engine.Event, Progress: camp, Observer: camp, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +48,14 @@ func TestSuiteLossForcedTripFallsBackToExact(t *testing.T) {
 	suite := parallelSuite(3)
 	const entries, w, acts, seed = 4, 16, 20_000, 11
 	exact, err := MeasureSuiteLossCampaign(context.Background(), entries, w, suite, acts, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
+		trialrunner.Options{Workers: 2, Engine: engine.Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteEngineTrip, faultinject.Trigger{Every: 1})
 	got, err := MeasureSuiteLossCampaign(context.Background(), entries, w, suite, acts, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Event, Faults: inj})
+		trialrunner.Options{Workers: 2, Engine: engine.Event, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +83,12 @@ func TestAttackSelfCheckInvariance(t *testing.T) {
 	// Campaign-level SelfCheck (the -selfcheck flag path) is equally inert.
 	suite := parallelSuite(5)
 	plain, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77,
-		CampaignOptions{Workers: 2})
+		trialrunner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	guarded, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77,
-		CampaignOptions{Workers: 2, SelfCheck: true})
+		trialrunner.Options{Workers: 2, SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"pride/internal/patterns"
 	"pride/internal/rng"
 	"pride/internal/tracker"
+	"pride/internal/trialrunner"
 )
 
 // pOneScheme is PrIDE with insertion probability forced to 1: the one
@@ -276,7 +277,7 @@ func TestAttackCampaignEventEngine(t *testing.T) {
 	var want AttackResult
 	for i, workers := range []int{1, 3} {
 		got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77,
-			CampaignOptions{Workers: workers, Engine: engine.Event})
+			trialrunner.Options{Workers: workers, Engine: engine.Event})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,12 +306,12 @@ func TestSuiteLossCampaignEventEngine(t *testing.T) {
 	}
 	const acts = 60_000
 	want, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, 33,
-		CampaignOptions{Workers: 1, Engine: engine.Event})
+		trialrunner.Options{Workers: 1, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, 33,
-		CampaignOptions{Workers: 3, Engine: engine.Event})
+		trialrunner.Options{Workers: 3, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}

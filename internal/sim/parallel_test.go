@@ -1,13 +1,29 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"pride/internal/patterns"
 	"pride/internal/rng"
+	"pride/internal/trialrunner"
 )
+
+// suiteAt and suiteLossAt run the campaign forms at a worker count with no
+// context and no checkpoint; a failing trial fails loudly.
+func suiteAt(cfg AttackConfig, s Scheme, suite []*patterns.Pattern, seeds int, baseSeed uint64, workers int) AttackResult {
+	res, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, s, suite, seeds, baseSeed, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
+	return res
+}
+
+func suiteLossAt(entries, w int, suite []*patterns.Pattern, acts int, baseSeed uint64, workers int) []LossMeasurement {
+	ms, err := MeasureSuiteLossCampaign(context.Background(), entries, w, suite, acts, baseSeed, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
+	return ms
+}
 
 func simWorkerGrid() []int {
 	grid := []int{1, 4}
@@ -31,12 +47,12 @@ func TestMaxDisturbanceOverSuiteParallelDeterministic(t *testing.T) {
 	cfg := attackCfg(30_000)
 	for _, scheme := range []Scheme{PrIDEScheme(), PrIDERFMScheme(16)} {
 		t.Run(scheme.Name, func(t *testing.T) {
-			want := MaxDisturbanceOverSuiteParallel(cfg, scheme, suite, 2, 77, 1)
+			want := suiteAt(cfg, scheme, suite, 2, 77, 1)
 			if want.MaxDisturbance == 0 || want.Pattern == "" {
 				t.Fatalf("degenerate merged result: %+v", want)
 			}
 			for _, workers := range simWorkerGrid()[1:] {
-				got := MaxDisturbanceOverSuiteParallel(cfg, scheme, suite, 2, 77, workers)
+				got := suiteAt(cfg, scheme, suite, 2, 77, workers)
 				if got != want {
 					t.Fatalf("workers=%d: %+v != serial %+v", workers, got, want)
 				}
@@ -53,7 +69,7 @@ func TestMaxDisturbanceOverSuiteParallelMatchesSerialShape(t *testing.T) {
 	suite := parallelSuite(9)
 	cfg := attackCfg(40_000)
 	serial := MaxDisturbanceOverSuite(cfg, PrIDEScheme(), suite, 2, 13)
-	par := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, 2, 13, 4)
+	par := suiteAt(cfg, PrIDEScheme(), suite, 2, 13, 4)
 	if par.Scheme != serial.Scheme {
 		t.Fatalf("scheme label %q != %q", par.Scheme, serial.Scheme)
 	}
@@ -72,7 +88,7 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 	if len(suite) < 3 {
 		t.Fatalf("suite too small: %d", len(suite))
 	}
-	want := MeasureSuiteLossParallel(4, 79, suite, 60_000, 33, 1)
+	want := suiteLossAt(4, 79, suite, 60_000, 33, 1)
 	if len(want) != len(suite) {
 		t.Fatalf("measurements = %d, want %d", len(want), len(suite))
 	}
@@ -82,7 +98,7 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range simWorkerGrid()[1:] {
-		got := MeasureSuiteLossParallel(4, 79, suite, 60_000, 33, workers)
+		got := suiteLossAt(4, 79, suite, 60_000, 33, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged from serial measurements", workers)
 		}
@@ -92,10 +108,10 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 func TestMaxDisturbanceOverSuiteParallelPanicsOnEmptyGrid(t *testing.T) {
 	for name, f := range map[string]func(){
 		"empty suite": func() {
-			MaxDisturbanceOverSuiteParallel(attackCfg(1000), PrIDEScheme(), nil, 1, 1, 1)
+			suiteAt(attackCfg(1000), PrIDEScheme(), nil, 1, 1, 1)
 		},
 		"zero seeds": func() {
-			MaxDisturbanceOverSuiteParallel(attackCfg(1000), PrIDEScheme(), parallelSuite(1), 0, 1, 1)
+			suiteAt(attackCfg(1000), PrIDEScheme(), parallelSuite(1), 0, 1, 1)
 		},
 	} {
 		func() {

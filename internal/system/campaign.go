@@ -4,83 +4,21 @@ import (
 	"context"
 	"fmt"
 
+	"pride/internal/dram"
 	"pride/internal/engine"
-	"pride/internal/guard"
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/trialrunner"
 )
 
-// ProgressSink receives coarse progress counters from a running TTF
-// campaign, one update per completed trial. internal/obs.Campaign satisfies
-// it structurally; a sink is observation-only.
-type ProgressSink interface {
-	// AddPeriods records n freshly-simulated refresh intervals (tREFIs).
-	AddPeriods(n int64)
-}
-
-// CampaignOptions configures a cancellable, checkpointable, observable TTF
-// campaign. The zero value behaves exactly like MeasureMTTFParallel at
-// trialrunner.DefaultWorkers(): no checkpoint, no metering.
-type CampaignOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the experiment's canonical key (configuration + seed,
-	// never the worker count).
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-trial counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-trial lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Engine selects the simulation engine: engine.Exact (the zero value)
-	// steps every activation; engine.Event skips ahead between insertions.
-	// Trial outcomes on the event engine are statistically — not
-	// bit-for-bit — equivalent, so the canonical checkpoint key embeds the
-	// engine and a campaign never resumes across an engine switch.
-	Engine engine.Kind
-	// SelfCheck enables runtime invariant guards in the per-bank
-	// controllers, banks and trackers (-selfcheck). An event-engine trial
-	// whose guard trips is re-run on the exact engine (the divergence
-	// counted via AddEngineFallbacks on Progress) instead of aborting the
-	// campaign.
-	SelfCheck bool
-	// Retry bounds re-execution of panicked/errored trials; see
-	// trialrunner.RetryPolicy. Zero keeps single-attempt semantics.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into trial
-	// execution and checkpoint I/O (chaos testing; faultinject.Injector
-	// implements it). Production runs leave it nil.
-	Faults trialrunner.TrialFaults
-}
-
-func (o CampaignOptions) runnerOpts() trialrunner.Options {
-	return trialrunner.Options{Workers: o.Workers, Observer: o.Observer, Retry: o.Retry, Faults: o.Faults}
-}
-
-// fallbackSink is the optional Progress capability for counting event→exact
-// engine fallbacks (internal/obs.Campaign implements it).
-type fallbackSink interface{ AddEngineFallbacks(n int64) }
-
-// engineTripper is the optional Faults capability that forces an invariant
-// trip for a given trial index (faultinject.Injector implements it).
-type engineTripper interface{ EngineTrip(trial uint64) bool }
-
-// tripForced reports whether the fault schedule forces an engine trip on
-// trial i.
-func (o CampaignOptions) tripForced(i int) bool {
-	if et, ok := o.Faults.(engineTripper); ok {
-		return et.EngineTrip(uint64(i))
-	}
-	return false
-}
-
-// countFallback records one event→exact fallback on the progress sink.
-func (o CampaignOptions) countFallback() {
-	if fs, ok := o.Progress.(fallbackSink); ok {
-		fs.AddEngineFallbacks(1)
-	}
+// TTFParams is the TTF campaigns' bank: DDR5 with 4096 rows, since
+// time-to-fail depends on the tracker, not bank capacity. TTF keys embed it,
+// so the CLI and the daemon share this one definition.
+func TTFParams() dram.Params {
+	p := dram.DDR5()
+	p.RowsPerBank = 4096
+	p.RowBits = 12
+	return p
 }
 
 // MTTFCampaignKey is the canonical checkpoint key of a TTF campaign: every
@@ -91,53 +29,37 @@ func MTTFCampaignKey(cfg Config, s sim.Scheme, trials int, seed uint64, eng engi
 		s.Name, cfg.Params, cfg.Banks, cfg.TRH, cfg.MaxTREFI, trials, seed, engine.KeySuffix(eng))
 }
 
-// MeasureMTTFCampaign is MeasureMTTFParallel as a long-running campaign: the
-// same independent trials with index-derived seeds — so the measured mean
-// and failure count are bit-for-bit identical to the Parallel engine at any
-// worker count — plus cancellation with graceful drain, per-trial panic
-// isolation, durable checkpoint/resume, and progress metering.
-func MeasureMTTFCampaign(ctx context.Context, cfg Config, s sim.Scheme, trials int, seed uint64, opts CampaignOptions) (meanSeconds float64, failed int, err error) {
+// MeasureMTTFCampaign is the campaign form of MeasureMTTF: the same
+// independent system-level trials with the same index-derived seeds
+// (rng.DeriveSeed(seed, t)), run on a trialrunner pool. Trial results fold in
+// trial order, so the measured mean and failure count are a pure function of
+// (cfg, s, trials, seed, engine) — on the exact engine bit-identical to the
+// serial sampler — and the worker count only changes wall-clock time. On top
+// come cancellation with graceful drain, per-trial panic isolation, durable
+// checkpoint/resume, and progress metering.
+func MeasureMTTFCampaign(ctx context.Context, cfg Config, s sim.Scheme, trials int, seed uint64, opts trialrunner.Options) (meanSeconds float64, failed int, err error) {
 	if trials < 1 {
 		panic(fmt.Sprintf("system: trials must be >= 1, got %d", trials))
 	}
-	cp := opts.Checkpoint
-	if cp.Key == "" {
-		cp.Key = MTTFCampaignKey(cfg, s, trials, seed, opts.Engine)
+	if opts.Checkpoint.Key == "" {
+		opts.Checkpoint.Key = MTTFCampaignKey(cfg, s, trials, seed, opts.Engine)
 	}
 	cfg.SelfCheck = cfg.SelfCheck || opts.SelfCheck
-	var onDone func(t int, r Result) error
-	if sink := opts.Progress; sink != nil {
-		onDone = func(t int, r Result) error {
-			sink.AddPeriods(int64(r.TREFIsSimulated))
-			return nil
-		}
-	}
 	// One scratch arena per worker index: trials run by the same worker
 	// reuse the bank arrays and hammer patterns.
-	ropts := opts.runnerOpts()
-	scratch := make([]runScratch, ropts.PoolSize(trials))
-	results, err := trialrunner.MapCheckpointedWorker(ctx, trials, func(worker, t int) Result {
+	scratch := make([]runScratch, opts.PoolSize(trials))
+	results, err := trialrunner.Map(ctx, trials, func(worker, t int) Result {
 		trialSeed := rng.DeriveSeed(seed, uint64(t))
-		if opts.Engine != engine.Event {
-			return run(cfg, s, trialSeed, &scratch[worker], opts.Engine)
-		}
-		// Guarded event run: a tripped invariant (real or injected) falls
-		// back to the exact reference engine under the same derived seed
-		// (run resets the scratch's banks itself), so the campaign
-		// degrades gracefully instead of aborting.
-		forced := opts.tripForced(t)
-		r, v := guard.Run(func() Result {
-			if forced {
-				guard.Failf("system.event", "forced-trip", "injected engine trip (trial %d)", t)
-			}
-			return run(cfg, s, trialSeed, &scratch[worker], engine.Event)
-		})
-		if v == nil {
-			return r
-		}
-		opts.countFallback()
-		return run(cfg, s, trialSeed, &scratch[worker], engine.Exact)
-	}, onDone, ropts, cp)
+		// A tripped event-engine guard re-runs the trial on the exact
+		// engine under the same derived seed (run resets the scratch's
+		// banks itself).
+		return trialrunner.Guarded(&opts, "system.event", t,
+			func() Result { return run(cfg, s, trialSeed, &scratch[worker], engine.Event) },
+			func() Result { return run(cfg, s, trialSeed, &scratch[worker], engine.Exact) })
+	}, func(t int, r Result) error {
+		opts.AddPeriods(int64(r.TREFIsSimulated))
+		return nil
+	}, opts)
 	if err != nil {
 		return 0, 0, err
 	}

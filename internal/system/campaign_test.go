@@ -11,7 +11,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-// ttfSink is a ProgressSink that can cancel a context after a fixed number
+// ttfSink is a Progress sink that can cancel a context after a fixed number
 // of completed trials.
 type ttfSink struct {
 	mu          sync.Mutex
@@ -32,18 +32,19 @@ func (s *ttfSink) AddPeriods(n int64) {
 }
 
 func TestMTTFCampaignMatchesParallel(t *testing.T) {
+	// The serial (Workers 1) campaign matches a metered parallel one.
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 4, 7
-	wantMean, wantFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 2)
+	wantMean, wantFailed := mttfAt(cfg, sim.PrIDEScheme(), trials, seed, 1)
 
 	sink := &ttfSink{}
 	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 3, Progress: sink})
+		trialrunner.Options{Workers: 3, Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean != wantMean || failed != wantFailed {
-		t.Fatalf("campaign (%v, %d) differs from parallel (%v, %d)", mean, failed, wantMean, wantFailed)
+		t.Fatalf("parallel campaign (%v, %d) differs from serial (%v, %d)", mean, failed, wantMean, wantFailed)
 	}
 	if sink.trials != trials || sink.periods <= 0 || sink.periods > int64(trials)*int64(cfg.MaxTREFI) {
 		t.Fatalf("sink metered %d trials / %d periods over %d x <=%d", sink.trials, sink.periods, trials, cfg.MaxTREFI)
@@ -53,12 +54,12 @@ func TestMTTFCampaignMatchesParallel(t *testing.T) {
 func TestMTTFCampaignResumeIsBitIdentical(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 4, 9
-	wantMean, wantFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 1)
+	wantMean, wantFailed := mttfAt(cfg, sim.PrIDEScheme(), trials, seed, 1)
 
 	path := filepath.Join(t.TempDir(), "mttf.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &ttfSink{cancel: cancel, cancelAfter: 1}
-	_, _, err := MeasureMTTFCampaign(ctx, cfg, sim.PrIDEScheme(), trials, seed, CampaignOptions{
+	_, _, err := MeasureMTTFCampaign(ctx, cfg, sim.PrIDEScheme(), trials, seed, trialrunner.Options{
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 		Progress:   sink,
@@ -68,7 +69,7 @@ func TestMTTFCampaignResumeIsBitIdentical(t *testing.T) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 
-	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed, CampaignOptions{
+	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed, trialrunner.Options{
 		Workers:    2,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 	})

@@ -8,6 +8,7 @@ import (
 	"pride/internal/faultinject"
 	"pride/internal/obs"
 	"pride/internal/sim"
+	"pride/internal/trialrunner"
 )
 
 // TestMTTFForcedTripFallsBackToExact forces a guard trip on every
@@ -18,7 +19,7 @@ func TestMTTFForcedTripFallsBackToExact(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 6, 21
 	exactMean, exactFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
+		trialrunner.Options{Workers: 2, Engine: engine.Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestMTTFForcedTripFallsBackToExact(t *testing.T) {
 	inj.Arm(faultinject.SiteEngineTrip, faultinject.Trigger{Every: 1})
 	camp := obs.NewCampaign("mttf-trip", trials, 2)
 	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Event, Progress: camp, Observer: camp, Faults: inj})
+		trialrunner.Options{Workers: 2, Engine: engine.Event, Progress: camp, Observer: camp, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,12 @@ func TestSystemSelfCheckInvariance(t *testing.T) {
 	// Campaign-level SelfCheck (the -selfcheck flag path) is equally inert.
 	const trials, seed = 4, 21
 	plainMean, plainFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 2})
+		trialrunner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 2, SelfCheck: true})
+		trialrunner.Options{Workers: 2, SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

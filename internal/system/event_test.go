@@ -12,6 +12,7 @@ import (
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/tracker"
+	"pride/internal/trialrunner"
 )
 
 // pOneScheme is PrIDE with insertion probability 1, the configuration where
@@ -72,7 +73,7 @@ func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 	for _, eng := range []engine.Kind{engine.Exact, engine.Event} {
 		serialMean, serialFailed := MeasureMTTFEngine(cfg, sim.PrIDEScheme(), trials, seed, eng)
 		campMean, campFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-			CampaignOptions{Workers: 4, Engine: eng})
+			trialrunner.Options{Workers: 4, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestMTTFCampaignEventEngine(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 8, 11
 	wantMean, wantFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 1, Engine: engine.Event})
+		trialrunner.Options{Workers: 1, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestMTTFCampaignEventEngine(t *testing.T) {
 		t.Fatal("event engine saw no failures at TRH=150")
 	}
 	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
-		CampaignOptions{Workers: 4, Engine: engine.Event})
+		trialrunner.Options{Workers: 4, Engine: engine.Event})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestMTTFCampaignEventEngine(t *testing.T) {
 
 	// Same failure process on the exact engine: both samplers must see most
 	// trials fail and means of the same order of magnitude.
-	exactMean, exactFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 4)
+	exactMean, exactFailed := mttfAt(cfg, sim.PrIDEScheme(), trials, seed, 4)
 	if exactFailed < 6 || wantFailed < 6 {
 		t.Fatalf("too few failures to compare: exact %d, event %d", exactFailed, wantFailed)
 	}

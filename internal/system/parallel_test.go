@@ -1,11 +1,21 @@
 package system
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"pride/internal/sim"
+	"pride/internal/trialrunner"
 )
+
+// mttfAt runs the campaign form at a worker count with no context and no
+// checkpoint; a failing trial fails loudly.
+func mttfAt(cfg Config, s sim.Scheme, trials int, seed uint64, workers int) (meanSeconds float64, failed int) {
+	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, s, trials, seed, trialrunner.Options{Workers: workers})
+	trialrunner.MustPanicFree(err)
+	return mean, failed
+}
 
 func sysWorkerGrid() []int {
 	grid := []int{1, 4}
@@ -17,12 +27,12 @@ func sysWorkerGrid() []int {
 
 func TestMeasureMTTFParallelDeterministicAcrossWorkers(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
-	wantMean, wantFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), 8, 11, 1)
+	wantMean, wantFailed := mttfAt(cfg, sim.PrIDEScheme(), 8, 11, 1)
 	if wantFailed == 0 {
 		t.Fatal("no failures at TRH=150; cannot exercise the merge path")
 	}
 	for _, workers := range sysWorkerGrid()[1:] {
-		mean, failed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), 8, 11, workers)
+		mean, failed := mttfAt(cfg, sim.PrIDEScheme(), 8, 11, workers)
 		if mean != wantMean || failed != wantFailed {
 			t.Fatalf("workers=%d: (%.17g, %d) != serial (%.17g, %d)",
 				workers, mean, failed, wantMean, wantFailed)
@@ -35,7 +45,7 @@ func TestMeasureMTTFParallelAgreesWithSerialSampler(t *testing.T) {
 	// the worker pool must agree bit for bit, not just statistically.
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 120, MaxTREFI: 40_000}
 	serialMean, serialFailed := MeasureMTTF(cfg, sim.PrIDEScheme(), 8, 23)
-	parMean, parFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), 8, 23, 4)
+	parMean, parFailed := mttfAt(cfg, sim.PrIDEScheme(), 8, 23, 4)
 	if serialFailed < 6 {
 		t.Fatalf("insufficient failures: serial %d", serialFailed)
 	}
@@ -51,6 +61,6 @@ func TestMeasureMTTFParallelPanicsOnZeroTrials(t *testing.T) {
 			t.Fatal("0 trials did not panic")
 		}
 	}()
-	MeasureMTTFParallel(Config{Params: sysParams(), Banks: 1, TRH: 100, MaxTREFI: 10},
+	mttfAt(Config{Params: sysParams(), Banks: 1, TRH: 100, MaxTREFI: 10},
 		sim.PrIDEScheme(), 0, 1, 1)
 }

@@ -9,6 +9,7 @@ import (
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/memctrl"
 	"pride/internal/rng"
 	"pride/internal/sim"
@@ -249,44 +250,10 @@ func (r ReplayResult) PerChannel() []ChannelSummary {
 	return out
 }
 
-// ReplaySink receives coarse progress counters from a running replay:
-// demuxed records and their byte volume. internal/obs.Campaign satisfies it
-// structurally; a sink is observation-only.
-type ReplaySink interface {
-	AddRecords(n int64)
-	AddBytes(n int64)
-}
-
-// activationSink is the optional ReplaySink capability for counting replayed
-// activations per completed shard (internal/obs.Campaign implements it).
-type activationSink interface{ AddActivations(n int64) }
-
-// mitigationSink is the optional ReplaySink capability for counting
-// dispatched mitigations (internal/obs.Campaign implements it).
-type mitigationSink interface{ AddMitigations(n int64) }
-
-// ReplayOptions configures a cancellable, checkpointable, observable replay
-// campaign. The zero value replays serially with no checkpoint or metering.
-// There is no Engine knob: replay is inherently exact, one trace record per
-// demand ACT.
-type ReplayOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the replay's canonical key (configuration + trace
-	// fingerprint, never the worker count).
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives demux and per-shard counter updates.
-	Progress ReplaySink
-	// Observer, when non-nil, receives per-shard lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Retry bounds re-execution of panicked/errored shards.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into shard
-	// execution and checkpoint I/O (chaos testing).
-	Faults trialrunner.TrialFaults
-}
+// ReplayOptions is kept as a name for the benchmark harness (perfbench, a
+// separate frozen module) that spells it out; every campaign in this
+// repository takes trialrunner.Options.
+type ReplayOptions = trialrunner.Options
 
 // ReplayCampaignKey is the canonical checkpoint key of a replay campaign:
 // the topology configuration plus the decoded trace's length and
@@ -306,7 +273,7 @@ const demuxBatch = 4096
 // row queues, fingerprinting the decoded records as it goes. The source's
 // mapping must equal the topology's — a trace recorded under one geometry
 // must not silently replay under another.
-func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, records uint64, crc uint32, err error) {
+func (t *Topology) demux(src trace.Source, progress *trialrunner.Options) (queues [][]int32, records uint64, crc uint32, err error) {
 	if sm := src.Mapping(); sm != t.cfg.Mapping {
 		return nil, 0, 0, fmt.Errorf("system: trace mapping %s differs from topology mapping %s",
 			sm.String(), t.cfg.Mapping.String())
@@ -324,13 +291,11 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, r
 			queues[shard] = append(queues[shard], int32(row))
 			binary.LittleEndian.PutUint64(le[i*8:], addr)
 		}
-		// One CRC pass per batch: the fingerprint is over the little-endian
-		// record bytes, identical to a per-record update but ~8x cheaper.
-		crc = crc32.Update(crc, castagnoli, le[:n*8])
+		crc = fingerprintBatch(crc, le[:n*8])
 		records += uint64(n)
-		if sink != nil && n > 0 {
-			sink.AddRecords(int64(n))
-			sink.AddBytes(int64(n) * trace.RecordSize)
+		if n > 0 {
+			progress.AddRecords(int64(n))
+			progress.AddBytes(int64(n) * trace.RecordSize)
 		}
 		if rerr == io.EOF {
 			return queues, records, crc, nil
@@ -346,12 +311,45 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, r
 // regardless of the source implementation.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// fingerprintBatch extends a replay fingerprint over one batch of records
+// already encoded as little-endian bytes. One CRC pass per batch is
+// identical to a per-record update but ~8x cheaper.
+func fingerprintBatch(crc uint32, le []byte) uint32 {
+	return crc32.Update(crc, castagnoli, le)
+}
+
+// Fingerprint drains src and returns its record count and CRC-32C over the
+// little-endian record bytes — exactly the fingerprint ReplayCampaign
+// computes in its demux pass, so ReplayCampaignKey(cfg, Fingerprint(src))
+// equals the checkpoint key a replay of the same records derives. The
+// campaign daemon files replay jobs under that key before running them.
+func Fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
+	var (
+		batch [demuxBatch]uint64
+		le    [demuxBatch * 8]byte
+	)
+	for {
+		n, rerr := src.ReadBatch(batch[:])
+		for i, addr := range batch[:n] {
+			binary.LittleEndian.PutUint64(le[i*8:], addr)
+		}
+		crc = fingerprintBatch(crc, le[:n*8])
+		records += uint64(n)
+		if rerr == io.EOF {
+			return records, crc, nil
+		}
+		if rerr != nil {
+			return 0, 0, rerr
+		}
+	}
+}
+
 // replayShard replays one bank's row queue from scratch: tracker, bank,
 // scrambler and stream are all built from index-derived seeds inside the
 // shard, so the result depends only on (config, shard, queue) — the
 // property that makes replay bit-identical at any worker count and across
 // resumed campaigns.
-func (t *Topology) replayShard(shard int, rows []int32) ShardResult {
+func (t *Topology) replayShard(shard int, rows []int32, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	stream := rng.Derived(t.cfg.Seed, uint64(shard))
 	trk := t.cfg.Scheme.New(t.params, stream)
@@ -361,7 +359,7 @@ func (t *Topology) replayShard(shard int, rows []int32) ShardResult {
 	if t.cfg.Scheme.MitigationEveryNREF > 0 {
 		mcfg.MitigationEveryNREF = t.cfg.Scheme.MitigationEveryNREF
 	}
-	mcfg.SelfCheck = t.cfg.SelfCheck
+	mcfg.SelfCheck = selfCheck
 	ctrl := memctrl.New(mcfg, dbank, trk)
 
 	var scr *addrmap.RowScrambler
@@ -406,41 +404,34 @@ func (t *Topology) replayShard(shard int, rows []int32) ShardResult {
 // Replay replays a trace serially: ReplayCampaign with one worker and no
 // checkpoint.
 func (t *Topology) Replay(src trace.Source) (ReplayResult, error) {
-	return t.ReplayCampaign(context.Background(), src, ReplayOptions{Workers: 1})
+	return t.ReplayCampaign(context.Background(), src, trialrunner.Options{Workers: 1})
 }
 
 // ReplayCampaign replays a trace across the topology: the demux pass shards
 // the stream, then a trialrunner pool drains the shards with a
 // deterministic shard-order merge — bit-identical at any worker count —
 // with cancellation, graceful drain, durable checkpoint/resume and progress
-// metering, the same campaign contract the TTF CLIs keep.
-func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts ReplayOptions) (ReplayResult, error) {
-	queues, records, crc, err := t.demux(src, opts.Progress)
+// metering, the same campaign contract the TTF CLIs keep. opts.SelfCheck
+// adds to the topology's own SelfCheck; opts.Engine must be engine.Exact.
+func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts trialrunner.Options) (ReplayResult, error) {
+	if opts.Engine != engine.Exact {
+		return ReplayResult{}, fmt.Errorf("system: replay is inherently exact, got engine %v", opts.Engine)
+	}
+	queues, records, crc, err := t.demux(src, &opts)
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	cp := opts.Checkpoint
-	if cp.Key == "" {
-		cp.Key = ReplayCampaignKey(t.cfg, records, crc)
+	if opts.Checkpoint.Key == "" {
+		opts.Checkpoint.Key = ReplayCampaignKey(t.cfg, records, crc)
 	}
-	var onDone func(i int, r ShardResult) error
-	if sink := opts.Progress; sink != nil {
-		as, hasActs := sink.(activationSink)
-		ms, hasMits := sink.(mitigationSink)
-		onDone = func(i int, r ShardResult) error {
-			if hasActs {
-				as.AddActivations(int64(r.ACTs))
-			}
-			if hasMits {
-				ms.AddMitigations(int64(r.Mitigations))
-			}
-			return nil
-		}
-	}
-	ropts := trialrunner.Options{Workers: opts.Workers, Observer: opts.Observer, Retry: opts.Retry, Faults: opts.Faults}
-	shards, err := trialrunner.MapCheckpointed(ctx, t.Shards(), func(i int) ShardResult {
-		return t.replayShard(i, queues[i])
-	}, onDone, ropts, cp)
+	selfCheck := t.cfg.SelfCheck || opts.SelfCheck
+	shards, err := trialrunner.Map(ctx, t.Shards(), func(_, i int) ShardResult {
+		return t.replayShard(i, queues[i], selfCheck)
+	}, func(i int, r ShardResult) error {
+		opts.AddActivations(int64(r.ACTs))
+		opts.AddMitigations(int64(r.Mitigations))
+		return nil
+	}, opts)
 	if err != nil {
 		return ReplayResult{}, err
 	}

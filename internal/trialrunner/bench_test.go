@@ -9,7 +9,7 @@ import (
 
 // cpuTrial is a RNG-bound trial comparable to one Monte-Carlo shard: it
 // burns a fixed number of draws from its own derived stream.
-func cpuTrial(i int) uint64 {
+func cpuTrial(_, i int) uint64 {
 	s := rng.Derived(1, uint64(i))
 	total := uint64(0)
 	for d := 0; d < 200_000; d++ {
@@ -24,11 +24,11 @@ func cpuTrial(i int) uint64 {
 //
 //	go test ./internal/trialrunner -bench=RunScaling -benchtime=3x
 func BenchmarkRunScaling(b *testing.B) {
-	serial := Run(1, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
+	serial := runAt(1, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got := Run(workers, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
+				got := runAt(workers, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
 				if got != serial {
 					b.Fatalf("workers=%d produced %#x, serial produced %#x", workers, got, serial)
 				}

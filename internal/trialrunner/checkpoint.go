@@ -3,7 +3,6 @@ package trialrunner
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -230,8 +229,8 @@ func readCheckpoint(cp Checkpoint, trials int, faults CheckpointFaults) (map[int
 // different experiment or trial count errors (wrapping ErrStaleCheckpoint)
 // unless cp.ForceFresh archives the file. Campaigns whose trials form a
 // dependency chain (the island search's migration epochs) use it to restore
-// intermediate state before calling MapCheckpointed, which only hands back
-// stored results after the run completes.
+// intermediate state before calling Map, which only hands back stored
+// results after the run completes.
 func LoadCheckpoint(cp Checkpoint, trials int) (map[int]json.RawMessage, error) {
 	return loadCheckpoint(cp, trials, nil)
 }
@@ -240,7 +239,7 @@ func LoadCheckpoint(cp Checkpoint, trials int) (map[int]json.RawMessage, error) 
 // syncing every cp.every() records. Records accumulate in a pending buffer
 // and are written to the file directly (no bufio: its sticky error state
 // would defeat retrying), so a failed or torn write retries with backoff
-// from the complete pending payload. It is only ever called under MapOpts'
+// from the complete pending payload. It is only ever called under Map's
 // onDone mutex, so it needs no locking of its own.
 type checkpointWriter struct {
 	f         *os.File
@@ -256,13 +255,6 @@ type checkpointWriter struct {
 	backoff time.Duration
 	faults  CheckpointFaults
 	onRetry func(n int64)
-}
-
-func checkpointFaultsOf(opts Options) CheckpointFaults {
-	if cf, ok := opts.Faults.(CheckpointFaults); ok {
-		return cf
-	}
-	return nil
 }
 
 // newCheckpointWriter atomically rewrites the checkpoint with the header and
@@ -435,116 +427,4 @@ func (w *checkpointWriter) close() error {
 		err = cerr
 	}
 	return err
-}
-
-// MapCheckpointed is MapOpts with a durable resume layer. With cp.Enabled():
-//
-//   - Results already recorded under cp.Path (same key, same trial count)
-//     are not re-executed; they are restored from disk into the returned
-//     slice.
-//   - Every freshly-completed trial is appended to cp.Path, flushed and
-//     fsynced every cp.Every completions — and always once more on the way
-//     out, so a cancelled run's final state is on disk before the call
-//     returns (SIGINT/SIGTERM drain + final checkpoint).
-//   - On full completion the checkpoint file is removed.
-//
-// On a nil error the returned slice is complete: fresh results computed this
-// run, stored ones decoded from the checkpoint. R must round-trip through
-// encoding/json exactly; the integer-counter results in this repository all
-// do, which is what makes resumed merges bit-identical.
-func MapCheckpointed[R any](ctx context.Context, trials int, trial func(i int) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) ([]R, error) {
-	return MapCheckpointedWorker(ctx, trials, func(_, i int) R { return trial(i) }, onDone, opts, cp)
-}
-
-// MapCheckpointedWorker is MapCheckpointed for worker-indexed trial
-// functions; see MapOptsWorker for the worker-index contract.
-func MapCheckpointedWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) ([]R, error) {
-	if !cp.Enabled() {
-		return MapOptsWorker(ctx, trials, trial, onDone, opts)
-	}
-	if trials < 0 {
-		panic(fmt.Sprintf("trialrunner: trials must be >= 0, got %d", trials))
-	}
-	if dir := filepath.Dir(cp.Path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("trialrunner: creating checkpoint directory: %w", err)
-		}
-	}
-	faults := checkpointFaultsOf(opts)
-	stored, err := loadCheckpoint(cp, trials, faults)
-	if err != nil {
-		return nil, err
-	}
-	if sr, ok := opts.Observer.(skipReporter); ok && len(stored) > 0 {
-		sr.SkipTrials(len(stored))
-	}
-	var onRetry func(n int64)
-	if rr, ok := opts.Observer.(checkpointRetryReporter); ok {
-		onRetry = rr.AddCheckpointRetries
-	}
-	w, err := newCheckpointWriter(cp, trials, stored, faults, onRetry)
-	if err != nil {
-		return nil, err
-	}
-
-	prevSkip := opts.Skip
-	opts.Skip = func(i int) bool {
-		if _, ok := stored[i]; ok {
-			return true
-		}
-		return prevSkip != nil && prevSkip(i)
-	}
-	wrapped := func(i int, r R) error {
-		if err := w.record(i, r); err != nil {
-			return err
-		}
-		if onDone != nil {
-			return onDone(i, r)
-		}
-		return nil
-	}
-
-	results, runErr := MapOptsWorker(ctx, trials, trial, wrapped, opts)
-	if cerr := w.close(); runErr == nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		return results, runErr
-	}
-	// Restore the skipped trials from the checkpoint before handing the
-	// slice back complete.
-	for i, raw := range stored {
-		if err := json.Unmarshal(raw, &results[i]); err != nil {
-			return results, fmt.Errorf("trialrunner: decoding checkpointed trial %d: %w", i, err)
-		}
-	}
-	if err := os.Remove(cp.Path); err != nil {
-		return results, fmt.Errorf("trialrunner: removing completed checkpoint: %w", err)
-	}
-	return results, nil
-}
-
-// RunCheckpointed is the fold counterpart of MapCheckpointed: on a nil error
-// it merges all trial results strictly in trial order (stored and fresh
-// alike), exactly like Run. Requires trials >= 1.
-func RunCheckpointed[R any](ctx context.Context, trials int, trial func(i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) (R, error) {
-	return RunCheckpointedWorker(ctx, trials, func(_, i int) R { return trial(i) }, merge, onDone, opts, cp)
-}
-
-// RunCheckpointedWorker is RunCheckpointed for worker-indexed trial
-// functions; see MapOptsWorker for the worker-index contract.
-func RunCheckpointedWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) (R, error) {
-	var zero R
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: RunCheckpointed requires trials >= 1, got %d", trials))
-	}
-	results, err := MapCheckpointedWorker(ctx, trials, trial, onDone, opts, cp)
-	if err != nil {
-		return zero, err
-	}
-	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
-	}
-	return acc, nil
 }

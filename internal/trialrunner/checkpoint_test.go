@@ -18,7 +18,7 @@ type cpResult struct {
 	Counts []uint64
 }
 
-func cpTrial(i int) cpResult {
+func cpTrial(_, i int) cpResult {
 	return cpResult{Trial: i, Counts: []uint64{uint64(i) * 3, 1 << uint(i%60), ^uint64(0) - uint64(i)}}
 }
 
@@ -36,12 +36,12 @@ func tmpCheckpoint(t *testing.T) Checkpoint {
 
 func TestRunCheckpointedCompletesAndCleansUp(t *testing.T) {
 	cp := tmpCheckpoint(t)
-	want := Run(1, 17, cpTrial, cpMerge)
-	got, err := RunCheckpointed(context.Background(), 17, cpTrial, cpMerge, nil, Options{Workers: 3}, cp)
+	want := runAt(1, 17, cpTrial, cpMerge)
+	results, err := Map(context.Background(), 17, cpTrial, nil, Options{Workers: 3, Checkpoint: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := Fold(results, cpMerge); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpointed result differs:\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := os.Stat(cp.Path); !os.IsNotExist(err) {
@@ -51,19 +51,19 @@ func TestRunCheckpointedCompletesAndCleansUp(t *testing.T) {
 
 func TestRunCheckpointedResumeIsBitIdentical(t *testing.T) {
 	const trials = 40
-	want := Run(1, trials, cpTrial, cpMerge)
+	want := runAt(1, trials, cpTrial, cpMerge)
 
 	for _, cancelAt := range []int64{1, 7, 20, 39} {
 		for _, workers := range []int{1, 2, 7} {
 			cp := tmpCheckpoint(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			var done atomic.Int64
-			_, err := RunCheckpointed(ctx, trials, cpTrial, cpMerge, func(i int, r cpResult) error {
+			_, err := Map(ctx, trials, cpTrial, func(i int, r cpResult) error {
 				if done.Add(1) == cancelAt {
 					cancel()
 				}
 				return nil
-			}, Options{Workers: workers}, cp)
+			}, Options{Workers: workers, Checkpoint: cp})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelAt=%d workers=%d: err = %v, want Canceled", cancelAt, workers, err)
@@ -74,13 +74,13 @@ func TestRunCheckpointedResumeIsBitIdentical(t *testing.T) {
 
 			// Resume at a different worker count than the interrupted run.
 			var fresh atomic.Int64
-			got, err := RunCheckpointed(context.Background(), trials,
-				func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
-				cpMerge, nil, Options{Workers: workers%3 + 1}, cp)
+			results, err := Map(context.Background(), trials,
+				func(w, i int) cpResult { fresh.Add(1); return cpTrial(w, i) },
+				nil, Options{Workers: workers%3 + 1, Checkpoint: cp})
 			if err != nil {
 				t.Fatalf("cancelAt=%d workers=%d: resume failed: %v", cancelAt, workers, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := Fold(results, cpMerge); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cancelAt=%d workers=%d: resumed result differs from uninterrupted run", cancelAt, workers)
 			}
 			if n := fresh.Load(); n > trials-cancelAt {
@@ -98,12 +98,12 @@ func TestMapCheckpointedToleratesTruncatedTail(t *testing.T) {
 	// bytes off the tail to simulate a crash mid-write.
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, err := MapCheckpointed(ctx, trials, cpTrial, func(i int, r cpResult) error {
+	_, err := Map(ctx, trials, cpTrial, func(i int, r cpResult) error {
 		if done.Add(1) == trials-1 {
 			cancel()
 		}
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
@@ -116,12 +116,12 @@ func TestMapCheckpointedToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil, Options{Workers: 2}, cp)
+	got, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 2, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("resume over truncated tail failed: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d corrupted after truncated-tail resume", i)
 		}
 	}
@@ -131,22 +131,22 @@ func TestCheckpointKeyMismatchRejected(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, _ = MapCheckpointed(ctx, 10, cpTrial, func(i int, r cpResult) error {
+	_, _ = Map(ctx, 10, cpTrial, func(i int, r cpResult) error {
 		if done.Add(1) == 3 {
 			cancel()
 		}
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 
 	other := cp
 	other.Key = "test|seed=2"
-	_, err := MapCheckpointed(context.Background(), 10, cpTrial, nil, Options{Workers: 1}, other)
+	_, err := Map(context.Background(), 10, cpTrial, nil, Options{Workers: 1, Checkpoint: other})
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("key mismatch not rejected: %v", err)
 	}
 
-	_, err = MapCheckpointed(context.Background(), 11, cpTrial, nil, Options{Workers: 1}, cp)
+	_, err = Map(context.Background(), 11, cpTrial, nil, Options{Workers: 1, Checkpoint: cp})
 	if err == nil || !strings.Contains(err.Error(), "trials") {
 		t.Fatalf("trial-count mismatch not rejected: %v", err)
 	}
@@ -154,12 +154,12 @@ func TestCheckpointKeyMismatchRejected(t *testing.T) {
 
 func TestCheckpointPanickedTrialNotRecorded(t *testing.T) {
 	cp := tmpCheckpoint(t)
-	_, err := MapCheckpointed(context.Background(), 6, func(i int) cpResult {
+	_, err := Map(context.Background(), 6, func(_, i int) cpResult {
 		if i == 2 {
 			panic("flaky trial")
 		}
-		return cpTrial(i)
-	}, nil, Options{Workers: 2}, cp)
+		return cpTrial(0, i)
+	}, nil, Options{Workers: 2, Checkpoint: cp})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Trial != 2 {
 		t.Fatalf("err = %v, want PanicError for trial 2", err)
@@ -167,10 +167,10 @@ func TestCheckpointPanickedTrialNotRecorded(t *testing.T) {
 	// The checkpoint survives with the healthy trials; a fixed binary can
 	// resume and only re-run the panicked one.
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), 6, func(i int) cpResult {
+	got, err := Map(context.Background(), 6, func(_, i int) cpResult {
 		fresh.Add(1)
-		return cpTrial(i)
-	}, nil, Options{Workers: 1}, cp)
+		return cpTrial(0, i)
+	}, nil, Options{Workers: 1, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("resume after panic failed: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestCheckpointPanickedTrialNotRecorded(t *testing.T) {
 		t.Fatalf("resume re-ran %d trials, want just the panicked one", fresh.Load())
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d wrong after panic-resume", i)
 		}
 	}
@@ -196,16 +196,16 @@ func TestCheckpointReportsSkipsToObserver(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, _ = MapCheckpointed(ctx, 10, cpTrial, func(i int, r cpResult) error {
+	_, _ = Map(ctx, 10, cpTrial, func(i int, r cpResult) error {
 		if done.Add(1) == 4 {
 			cancel()
 		}
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 
 	var obs skipCountingObserver
-	_, err := MapCheckpointed(context.Background(), 10, cpTrial, nil, Options{Workers: 2, Observer: &obs}, cp)
+	_, err := Map(context.Background(), 10, cpTrial, nil, Options{Workers: 2, Observer: &obs, Checkpoint: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCheckpointReportsSkipsToObserver(t *testing.T) {
 }
 
 func TestCheckpointDisabledPassthrough(t *testing.T) {
-	got, err := MapCheckpointed(context.Background(), 5, cpTrial, nil, Options{Workers: 1}, Checkpoint{})
+	got, err := Map(context.Background(), 5, cpTrial, nil, Options{Workers: 1, Checkpoint: Checkpoint{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCheckpointDisabledPassthrough(t *testing.T) {
 func TestCheckpointCreatesParentDirectory(t *testing.T) {
 	dir := t.TempDir()
 	cp := Checkpoint{Path: filepath.Join(dir, "nested", "deep", "run.ckpt"), Key: "k"}
-	_, err := MapCheckpointed(context.Background(), 3, cpTrial, nil, Options{Workers: 1}, cp)
+	_, err := Map(context.Background(), 3, cpTrial, nil, Options{Workers: 1, Checkpoint: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

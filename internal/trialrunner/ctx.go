@@ -9,12 +9,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pride/internal/engine"
 )
 
 // PanicError reports a trial that panicked. The pool recovers the panic on
 // the worker goroutine, so one faulty trial surfaces as an error result from
-// MapOpts/RunCheckpointed instead of killing the whole process (and, for a
-// checkpointed campaign, instead of losing every completed trial).
+// Map instead of killing the whole process (and, for a checkpointed
+// campaign, instead of losing every completed trial).
 type PanicError struct {
 	// Trial is the index of the trial that panicked.
 	Trial int
@@ -113,6 +115,16 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 }
 
+// Retries returns the policy that retries a failed trial n times (n+1
+// attempts); n <= 0 keeps one attempt. It maps every user-facing retry count
+// (-trial-retries, a daemon spec's trial_retries) to attempts.
+func Retries(n int) RetryPolicy {
+	if n <= 0 {
+		return RetryPolicy{}
+	}
+	return RetryPolicy{Attempts: n + 1}
+}
+
 func (p RetryPolicy) attempts() int {
 	if p.Attempts < 1 {
 		return 1
@@ -172,24 +184,46 @@ type Observer interface {
 	TrialEnd(trial int, d time.Duration)
 }
 
-// Options configures a cancellable, resumable, observable run. The zero
-// value means: DefaultWorkers(), no trials skipped, no observer.
+// Options configures a campaign — the one options type every campaign kind
+// in this repository takes. The zero value means DefaultWorkers(), no
+// checkpoint, no metering, the exact engine, one attempt per trial and no
+// faults. Map consumes Workers, Checkpoint, Observer, Retry and Faults; the
+// campaign owning the trial function consumes Progress (via AddPeriods and
+// its siblings), Engine and SelfCheck (via Guarded).
 type Options struct {
-	// Workers is the pool size (>= 1). 0 selects DefaultWorkers().
+	// Workers is the pool size (>= 1); 0 selects DefaultWorkers(). It never
+	// affects a result, only how fast it arrives.
 	Workers int
-	// Skip, when non-nil, reports that trial i is already complete (its
-	// result is supplied elsewhere, e.g. from a checkpoint) and must not be
-	// executed. Skipped trials are left as zero values in the result slice
-	// and produce no onDone callback.
-	Skip func(i int) bool
+	// Checkpoint enables durable resume when its Path is set. Campaigns
+	// fill an empty Key with their canonical key (configuration + seed,
+	// never the worker count), so a resume is safe across worker counts but
+	// rejected across configurations.
+	Checkpoint Checkpoint
+	// Progress, when non-nil, receives coarse counters, each an optional
+	// capability discovered structurally (internal/obs.Campaign has them
+	// all). Observation only: a sink never perturbs a result.
+	Progress any
 	// Observer, when non-nil, receives TrialStart/TrialEnd callbacks.
 	Observer Observer
-	// Retry bounds re-execution of failed trials. The zero value keeps the
-	// historic semantics: one attempt, failure is terminal.
+	// Engine selects the simulation engine of stochastic campaigns. The
+	// engines are statistically, not bit-for-bit, equivalent, so campaign
+	// keys embed it and a checkpoint never resumes across a switch.
+	Engine engine.Kind
+	// SelfCheck enables runtime invariant guards in the simulation engines
+	// (-selfcheck).
+	SelfCheck bool
+	// Retry bounds re-execution of failed trials; the zero value makes
+	// failure terminal after one attempt.
 	Retry RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into trial
-	// execution (chaos testing). Production runs leave it nil.
+	// Faults, when non-nil, injects deterministic faults into trials,
+	// checkpoint I/O and engine guards (chaos testing;
+	// faultinject.Injector implements it).
 	Faults TrialFaults
+
+	// skip, set only by the checkpoint layer, reports that trial i was
+	// restored from the checkpoint and must not run (its slot stays zero
+	// and gets no onDone call).
+	skip func(i int) bool
 }
 
 // workers resolves the pool size.
@@ -203,49 +237,21 @@ func (o Options) workers() int {
 // PoolSize returns the number of distinct worker indices a run over the
 // given trial count will use: the resolved pool size, clamped to the trial
 // count. Engines that keep per-worker scratch state size their scratch
-// slices with this before calling MapOptsWorker and friends.
+// slices with this before calling Map.
 func (o Options) PoolSize(trials int) int {
 	w := o.workers()
+	if err := ValidateWorkers(w); err != nil {
+		panic(err)
+	}
 	if trials >= 1 && w > trials {
 		w = trials
 	}
 	return w
 }
 
-// MapOpts executes trials 0..trials-1 on a worker pool and returns their
-// results indexed by trial number, like Map, with three additions:
-//
-//   - Cancellation: when ctx is cancelled the pool drains gracefully — no
-//     new trials are claimed, in-flight trials run to completion (so their
-//     results can still be checkpointed) — and the error wraps ctx.Err().
-//   - Panic isolation: a panicking trial is recovered on its worker and
-//     reported as a *PanicError in the returned error; the remaining trials
-//     still run.
-//   - Completion hook: onDone, when non-nil, is called exactly once per
-//     freshly-completed (non-skipped, non-panicked) trial with its result.
-//     Calls are serialized under an internal mutex, in completion order. An
-//     onDone error aborts the run like a cancellation (graceful drain) and
-//     is included in the returned error.
-//
-// On a nil error the result slice is complete except for skipped trials.
-// The trial-to-worker assignment remains dynamic and the results remain a
-// pure function of the trial function — worker count, cancellation timing
-// and hooks never change the value any individual trial produces.
-func MapOpts[R any](ctx context.Context, trials int, trial func(i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
-	return MapOptsWorker(ctx, trials, func(_, i int) R { return trial(i) }, onDone, opts)
-}
-
-// MapOptsWorker is MapOpts for trial functions that also receive the stable
-// index of the worker goroutine executing them, in [0, opts.PoolSize(trials)).
-// Two trials that observe the same worker index never run concurrently, and a
-// single-worker run executes every trial inline with worker index 0, so
-// engines can keep one reusable scratch arena per worker index instead of
-// allocating per trial.
-//
-// The worker index must only select scratch storage — never influence a
-// trial's result — or the worker-count invariance the package guarantees is
-// lost.
-func MapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
+// mapPool is Map without the checkpoint layer: the worker pool itself.
+// Trials opts.skip reports complete are not executed and stay zero.
+func mapPool[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
 	workers := opts.workers()
 	if err := ValidateWorkers(workers); err != nil {
 		panic(err)
@@ -361,7 +367,7 @@ func MapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i 
 			if i >= trials {
 				return
 			}
-			if opts.Skip != nil && opts.Skip(i) {
+			if opts.skip != nil && opts.skip(i) {
 				continue
 			}
 			runOne(worker, i)
@@ -408,24 +414,4 @@ func MapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i 
 		errs = append(errs, err)
 	}
 	return results, errors.Join(errs...)
-}
-
-// RunOpts is the fold counterpart of MapOpts: on a nil error it merges the
-// results strictly in trial order, exactly like Run. Requires trials >= 1
-// and no skipped trials (use RunCheckpointed when resuming from stored
-// results).
-func RunOpts[R any](ctx context.Context, trials int, trial func(i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options) (R, error) {
-	var zero R
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: RunOpts requires trials >= 1, got %d", trials))
-	}
-	results, err := MapOpts(ctx, trials, trial, onDone, opts)
-	if err != nil {
-		return zero, err
-	}
-	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
-	}
-	return acc, nil
 }

@@ -12,10 +12,10 @@ import (
 )
 
 func TestMapOptsMatchesMap(t *testing.T) {
-	trial := func(i int) int { return i * i }
-	want := Map(3, 100, trial)
+	trial := func(_, i int) int { return i * i }
+	want := mapAt(3, 100, trial)
 	for _, workers := range []int{1, 2, 7} {
-		got, err := MapOpts(context.Background(), 100, trial, nil, Options{Workers: workers})
+		got, err := Map(context.Background(), 100, trial, nil, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -29,7 +29,7 @@ func TestMapOptsMatchesMap(t *testing.T) {
 
 func TestMapOptsPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		results, err := MapOpts(context.Background(), 10, func(i int) int {
+		results, err := Map(context.Background(), 10, func(_, i int) int {
 			if i == 4 {
 				panic("boom")
 			}
@@ -61,7 +61,7 @@ func TestMapOptsPanicIsolation(t *testing.T) {
 }
 
 func TestMapOptsMultiplePanicsSortedByTrial(t *testing.T) {
-	_, err := MapOpts(context.Background(), 20, func(i int) int {
+	_, err := Map(context.Background(), 20, func(_, i int) int {
 		if i%7 == 3 {
 			panic(fmt.Sprintf("bad-%d", i))
 		}
@@ -82,18 +82,19 @@ func TestMapRepanicsOnTrialPanic(t *testing.T) {
 	defer func() {
 		v := recover()
 		if v == nil {
-			t.Fatal("Map did not re-panic")
+			t.Fatal("MustPanicFree did not re-panic")
 		}
 		if !strings.Contains(fmt.Sprint(v), "trial 2 panicked") {
 			t.Fatalf("re-panic does not name the trial: %v", v)
 		}
 	}()
-	Map(2, 5, func(i int) int {
+	_, err := Map(context.Background(), 5, func(_, i int) int {
 		if i == 2 {
 			panic("kaput")
 		}
 		return i
-	})
+	}, nil, Options{Workers: 2})
+	MustPanicFree(err)
 }
 
 func TestMapOptsCancellationDrains(t *testing.T) {
@@ -101,7 +102,7 @@ func TestMapOptsCancellationDrains(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var completed atomic.Int64
 		const trials = 200
-		_, err := MapOpts(ctx, trials, func(i int) int {
+		_, err := Map(ctx, trials, func(_, i int) int {
 			time.Sleep(200 * time.Microsecond) // give cancellation time to land mid-run
 			return i
 		}, func(i int, r int) error {
@@ -127,7 +128,7 @@ func TestMapOptsOnDoneSerializedAndComplete(t *testing.T) {
 	var mu sync.Mutex
 	inHook := false
 	seen := map[int]bool{}
-	_, err := MapOpts(context.Background(), 64, func(i int) int { return i * 3 }, func(i int, r int) error {
+	_, err := Map(context.Background(), 64, func(_, i int) int { return i * 3 }, func(i int, r int) error {
 		mu.Lock()
 		if inHook {
 			mu.Unlock()
@@ -156,7 +157,7 @@ func TestMapOptsOnDoneSerializedAndComplete(t *testing.T) {
 func TestMapOptsOnDoneErrorAbortsRun(t *testing.T) {
 	sentinel := errors.New("disk full")
 	var calls atomic.Int64
-	_, err := MapOpts(context.Background(), 500, func(i int) int { return i }, func(i int, r int) error {
+	_, err := Map(context.Background(), 500, func(_, i int) int { return i }, func(i int, r int) error {
 		if calls.Add(1) == 5 {
 			return sentinel
 		}
@@ -172,10 +173,10 @@ func TestMapOptsOnDoneErrorAbortsRun(t *testing.T) {
 
 func TestMapOptsSkip(t *testing.T) {
 	var ran atomic.Int64
-	results, err := MapOpts(context.Background(), 10, func(i int) int {
+	results, err := Map(context.Background(), 10, func(_, i int) int {
 		ran.Add(1)
 		return i + 1
-	}, nil, Options{Workers: 3, Skip: func(i int) bool { return i%2 == 0 }})
+	}, nil, Options{Workers: 3, skip: func(i int) bool { return i%2 == 0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func (o *countingObserver) TrialEnd(_ int, d time.Duration) { o.ends.Add(1); o.b
 
 func TestMapOptsObserverPairsStartEnd(t *testing.T) {
 	var obs countingObserver
-	_, err := MapOpts(context.Background(), 40, func(i int) int {
+	_, err := Map(context.Background(), 40, func(_, i int) int {
 		if i == 7 {
 			panic("observed panic")
 		}
@@ -222,16 +223,16 @@ func TestMapOptsObserverPairsStartEnd(t *testing.T) {
 }
 
 func TestRunOptsMatchesRun(t *testing.T) {
-	trial := func(i int) int { return i * i }
+	trial := func(_, i int) int { return i * i }
 	merge := func(a, b int) int { return a + b }
-	want := Run(4, 33, trial, merge)
+	want := runAt(4, 33, trial, merge)
 	for _, workers := range []int{1, 2, 5} {
-		got, err := RunOpts(context.Background(), 33, trial, merge, nil, Options{Workers: workers})
+		results, err := Map(context.Background(), 33, trial, nil, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("workers=%d: RunOpts = %d, want %d", workers, got, want)
+		if got := Fold(results, merge); got != want {
+			t.Fatalf("workers=%d: Fold = %d, want %d", workers, got, want)
 		}
 	}
 }
@@ -246,7 +247,7 @@ func TestMapOptsWorkerIndexContract(t *testing.T) {
 		pool := opts.PoolSize(trials)
 		busy := make([]atomic.Bool, pool)
 		var bad atomic.Bool
-		_, err := MapOptsWorker(context.Background(), trials, func(worker, i int) int {
+		_, err := Map(context.Background(), trials, func(worker, i int) int {
 			if worker < 0 || worker >= pool {
 				bad.Store(true)
 				return 0
@@ -269,7 +270,7 @@ func TestMapOptsWorkerIndexContract(t *testing.T) {
 }
 
 func TestSingleWorkerSeesIndexZero(t *testing.T) {
-	_, err := MapOptsWorker(context.Background(), 10, func(worker, i int) int {
+	_, err := Map(context.Background(), 10, func(worker, i int) int {
 		if worker != 0 {
 			t.Errorf("trial %d on worker %d, want 0", i, worker)
 		}
@@ -301,7 +302,7 @@ func TestPoolSize(t *testing.T) {
 }
 
 func TestMapOptsZeroWorkersMeansDefault(t *testing.T) {
-	got, err := MapOpts(context.Background(), 8, func(i int) int { return i }, nil, Options{})
+	got, err := Map(context.Background(), 8, func(_, i int) int { return i }, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,13 @@ func TestCheckpointShortWriteRetriesAndRecovers(t *testing.T) {
 	// newline terminator isolates the fragment.
 	inj.Arm(faultinject.SiteCheckpointWrite, faultinject.Trigger{Nth: 2, Kind: faultinject.KindShortWrite})
 	obs := &retryObs{}
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil,
-		Options{Workers: 1, Observer: obs, Faults: inj}, cp)
+	got, err := Map(context.Background(), trials, cpTrial, nil,
+		Options{Workers: 1, Observer: obs, Faults: inj, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("short-write fault was not retried away: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d corrupted after short-write recovery", i)
 		}
 	}
@@ -52,8 +52,8 @@ func TestCheckpointPersistentWriteFaultSurfaces(t *testing.T) {
 	cp.RetryBackoff = time.Microsecond
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteCheckpointWrite, faultinject.Trigger{Every: 1})
-	_, err := MapCheckpointed(context.Background(), 4, cpTrial, nil,
-		Options{Workers: 1, Faults: inj}, cp)
+	_, err := Map(context.Background(), 4, cpTrial, nil,
+		Options{Workers: 1, Faults: inj, Checkpoint: cp})
 	if err == nil {
 		t.Fatal("persistent write fault did not surface")
 	}
@@ -68,12 +68,12 @@ func TestCheckpointMidFileCorruptionKeepsIntactRecords(t *testing.T) {
 	// Interrupt just before the end so a populated checkpoint survives.
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, err := MapCheckpointed(ctx, trials, cpTrial, func(i int, r cpResult) error {
+	_, err := Map(ctx, trials, cpTrial, func(i int, r cpResult) error {
 		if done.Add(1) == trials-1 {
 			cancel()
 		}
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
@@ -105,14 +105,14 @@ func TestCheckpointMidFileCorruptionKeepsIntactRecords(t *testing.T) {
 	}
 
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), trials,
-		func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
-		nil, Options{Workers: 1}, cp)
+	got, err := Map(context.Background(), trials,
+		func(_, i int) cpResult { fresh.Add(1); return cpTrial(0, i) },
+		nil, Options{Workers: 1, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("resume over corrupted record failed: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d wrong after corruption recovery", i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestCheckpointLegacyV1Loads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		raw, err := json.Marshal(cpTrial(i))
+		raw, err := json.Marshal(cpTrial(0, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,14 +147,14 @@ func TestCheckpointLegacyV1Loads(t *testing.T) {
 	}
 
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), trials,
-		func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
-		nil, Options{Workers: 1}, cp)
+	got, err := Map(context.Background(), trials,
+		func(_, i int) cpResult { fresh.Add(1); return cpTrial(0, i) },
+		nil, Options{Workers: 1, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("version-1 checkpoint did not load: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d wrong after v1 resume", i)
 		}
 	}
@@ -167,10 +167,10 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	// Populate under one key, reopen under another.
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCheckpointed(ctx, 4, cpTrial, func(i int, r cpResult) error {
+	_, err := Map(ctx, 4, cpTrial, func(i int, r cpResult) error {
 		cancel()
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 
 	other := cp
 	other.Key = "test|seed=2"
-	_, err = MapCheckpointed(context.Background(), 4, cpTrial, nil, Options{Workers: 1}, other)
+	_, err = Map(context.Background(), 4, cpTrial, nil, Options{Workers: 1, Checkpoint: other})
 	if err == nil {
 		t.Fatal("key mismatch accepted")
 	}
@@ -195,10 +195,10 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 func TestCheckpointForceFreshArchivesStale(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCheckpointed(ctx, 4, cpTrial, func(i int, r cpResult) error {
+	_, err := Map(ctx, 4, cpTrial, func(i int, r cpResult) error {
 		cancel()
 		return nil
-	}, Options{Workers: 1}, cp)
+	}, Options{Workers: 1, Checkpoint: cp})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
@@ -207,12 +207,12 @@ func TestCheckpointForceFreshArchivesStale(t *testing.T) {
 	forced := cp
 	forced.Key = "test|seed=2"
 	forced.ForceFresh = true
-	got, err := MapCheckpointed(context.Background(), 4, cpTrial, nil, Options{Workers: 1}, forced)
+	got, err := Map(context.Background(), 4, cpTrial, nil, Options{Workers: 1, Checkpoint: forced})
 	if err != nil {
 		t.Fatalf("ForceFresh did not recover from the stale checkpoint: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("trial %d wrong after forced-fresh run", i)
 		}
 	}
@@ -230,8 +230,8 @@ func TestCheckpointForceFreshDoesNotMaskIOErrors(t *testing.T) {
 	cp.ForceFresh = true
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteCheckpointOpen, faultinject.Trigger{Nth: 1})
-	_, err := MapCheckpointed(context.Background(), 4, cpTrial, nil,
-		Options{Workers: 1, Faults: inj}, cp)
+	_, err := Map(context.Background(), 4, cpTrial, nil,
+		Options{Workers: 1, Faults: inj, Checkpoint: cp})
 	if err == nil {
 		t.Fatal("ForceFresh swallowed an injected open failure")
 	}
@@ -242,7 +242,7 @@ func TestCheckpointForceFreshDoesNotMaskIOErrors(t *testing.T) {
 
 func TestResumeBitIdenticalUnderInjectedWriteFaults(t *testing.T) {
 	const trials = 16
-	want, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
+	want, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestResumeBitIdenticalUnderInjectedWriteFaults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj.BindCancel(cancel)
-	_, err = MapCheckpointed(ctx, trials, cpTrial, nil, Options{Workers: 1, Faults: inj}, cp)
+	_, err = Map(ctx, trials, cpTrial, nil, Options{Workers: 1, Faults: inj, Checkpoint: cp})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("chaos run err = %v, want Canceled", err)
 	}
@@ -268,7 +268,7 @@ func TestResumeBitIdenticalUnderInjectedWriteFaults(t *testing.T) {
 
 	// Undisturbed resume merges the surviving records with fresh trials into
 	// the exact undisturbed result.
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil, Options{Workers: 2}, cp)
+	got, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 2, Checkpoint: cp})
 	if err != nil {
 		t.Fatalf("resume after chaos run failed: %v", err)
 	}
@@ -282,8 +282,8 @@ func TestCheckpointCreateAndRenameFaultsSurface(t *testing.T) {
 		cp := tmpCheckpoint(t)
 		inj := faultinject.New(1)
 		inj.Arm(site, faultinject.Trigger{Nth: 1})
-		_, err := MapCheckpointed(context.Background(), 3, cpTrial, nil,
-			Options{Workers: 1, Faults: inj}, cp)
+		_, err := Map(context.Background(), 3, cpTrial, nil,
+			Options{Workers: 1, Faults: inj, Checkpoint: cp})
 		if err == nil {
 			t.Fatalf("site %s: injected fault did not surface", site)
 		}
@@ -305,7 +305,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		enc := json.NewEncoder(&buf)
 		enc.Encode(checkpointHeader{Magic: checkpointMagic, Version: version, Key: "fuzz", Trials: 8})
 		for i := 0; i < 5; i++ {
-			raw, _ := json.Marshal(cpTrial(i))
+			raw, _ := json.Marshal(cpTrial(0, i))
 			rec := checkpointRecord{Trial: i, Result: raw}
 			if version >= 2 {
 				rec.CRC = recordCRC(i, raw)

@@ -26,7 +26,7 @@ func (o *retryObs) AddCheckpointRetries(n int64) { o.cpRetries.Add(n) }
 
 func TestRetryRecoversTransientErrorFault(t *testing.T) {
 	const trials = 6
-	want, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
+	want, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRetryRecoversTransientErrorFault(t *testing.T) {
 	// attempt); the retry replays the same trial-derived work and succeeds.
 	inj.Arm(faultinject.SiteTrialErr, faultinject.Trigger{Nth: 3})
 	obs := &retryObs{}
-	got, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{
+	got, err := Map(context.Background(), trials, cpTrial, nil, Options{
 		Workers:  2,
 		Observer: obs,
 		Retry:    RetryPolicy{Attempts: 2},
@@ -62,14 +62,14 @@ func TestRetryRecoversTransientErrorFault(t *testing.T) {
 
 func TestRetryRecoversPanicKindFault(t *testing.T) {
 	const trials = 4
-	want, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
+	want, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteTrialPanic, faultinject.Trigger{Nth: 1, Kind: faultinject.KindPanic})
-	got, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{
+	got, err := Map(context.Background(), trials, cpTrial, nil, Options{
 		Workers: 1,
 		Retry:   RetryPolicy{Attempts: 2},
 		Faults:  inj,
@@ -92,7 +92,7 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	// trial is quarantined, while the other trials complete normally.
 	inj.Arm(faultinject.SiteTrialErr, faultinject.Trigger{Nth: 2, Attempts: -1})
 	obs := &retryObs{}
-	got, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{
+	got, err := Map(context.Background(), trials, cpTrial, nil, Options{
 		Workers:  1,
 		Observer: obs,
 		Retry:    RetryPolicy{Attempts: 3},
@@ -127,7 +127,7 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	}
 	// The healthy trials' results are still intact.
 	for _, i := range []int{0, 2, 3, 4} {
-		if !reflect.DeepEqual(got[i], cpTrial(i)) {
+		if !reflect.DeepEqual(got[i], cpTrial(0, i)) {
 			t.Fatalf("healthy trial %d corrupted by the quarantine", i)
 		}
 	}
@@ -136,7 +136,7 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 func TestSingleAttemptKeepsBarePanicError(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteTrialPanic, faultinject.Trigger{Nth: 1, Kind: faultinject.KindPanic, Attempts: -1})
-	_, err := MapOpts(context.Background(), 3, cpTrial, nil, Options{Workers: 1, Faults: inj})
+	_, err := Map(context.Background(), 3, cpTrial, nil, Options{Workers: 1, Faults: inj})
 	if err == nil {
 		t.Fatal("faulted single-attempt run returned nil error")
 	}
@@ -155,13 +155,13 @@ func TestSingleAttemptKeepsBarePanicError(t *testing.T) {
 }
 
 func TestDeadlineFailsSlowTrial(t *testing.T) {
-	slow := func(i int) int {
+	slow := func(_, i int) int {
 		if i == 1 {
 			time.Sleep(50 * time.Millisecond)
 		}
 		return i
 	}
-	_, err := MapOpts(context.Background(), 3, slow, nil, Options{
+	_, err := Map(context.Background(), 3, slow, nil, Options{
 		Workers: 1,
 		Retry:   RetryPolicy{Deadline: 10 * time.Millisecond},
 	})
@@ -186,7 +186,7 @@ func TestTrialCancelSiteCancelsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj.BindCancel(cancel)
-	_, err := MapOpts(ctx, 64, cpTrial, nil, Options{Workers: 1, Faults: inj})
+	_, err := Map(ctx, 64, cpTrial, nil, Options{Workers: 1, Faults: inj})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from the trial.cancel site", err)
 	}
@@ -197,14 +197,14 @@ func TestTrialCancelSiteCancelsRun(t *testing.T) {
 
 func TestRetryDeterministicAcrossWorkerCounts(t *testing.T) {
 	const trials = 12
-	want, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
+	want, err := Map(context.Background(), trials, cpTrial, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 5} {
 		inj := faultinject.New(9)
 		inj.Arm(faultinject.SiteTrialErr, faultinject.Trigger{Prob: 0.5})
-		got, err := MapOpts(context.Background(), trials, cpTrial, nil, Options{
+		got, err := Map(context.Background(), trials, cpTrial, nil, Options{
 			Workers: workers,
 			Retry:   RetryPolicy{Attempts: 2},
 			Faults:  inj,
@@ -243,7 +243,7 @@ func TestRetryBackoffDelaysRetries(t *testing.T) {
 	in := faultinject.New(1)
 	in.Arm(faultinject.SiteTrialErr, faultinject.Trigger{Nth: 1})
 	start := time.Now()
-	_, err := MapOpts(context.Background(), 1, func(i int) int { return i }, nil,
+	_, err := Map(context.Background(), 1, func(_, i int) int { return i }, nil,
 		Options{Workers: 1, Retry: RetryPolicy{Attempts: 2, Backoff: 30 * time.Millisecond}, Faults: in})
 	if err != nil {
 		t.Fatalf("retry did not absorb the fault: %v", err)

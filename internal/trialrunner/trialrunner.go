@@ -25,8 +25,11 @@ package trialrunner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 )
 
@@ -36,8 +39,8 @@ func DefaultWorkers() int {
 }
 
 // ValidateWorkers reports whether a worker count is usable. CLIs surface
-// this error for their -workers flag; the Run/Map entry points panic on the
-// same condition because by then it is a programmer error.
+// this error for their -workers flag; Map panics on the same condition
+// because by then it is a programmer error.
 func ValidateWorkers(workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("trialrunner: workers must be >= 1, got %d", workers)
@@ -45,30 +48,114 @@ func ValidateWorkers(workers int) error {
 	return nil
 }
 
-// Map executes trials 0..trials-1 on up to `workers` goroutines and returns
-// their results indexed by trial number. The assignment of trials to workers
-// is dynamic (an atomic work counter, so long trials do not stall the pool),
-// but the returned slice depends only on the trial function.
+// Map executes trials 0..trials-1 on a worker pool and returns their
+// results indexed by trial number. The assignment of trials to workers is
+// dynamic (an atomic work counter, so long trials do not stall the pool),
+// but the returned slice is a pure function of the trial function — worker
+// count, cancellation timing, checkpoint resumes and hooks never change the
+// value any individual trial produces. On top of the pool:
 //
-// A panicking trial re-panics on the calling goroutine (wrapped in a
-// *PanicError), never on a worker: programmer errors still fail loudly, but
-// the sibling trials finish first and the process dies with a stack that
-// names the trial. Cancellable or error-reporting callers should use MapOpts
-// instead.
-func Map[R any](workers, trials int, trial func(i int) R) []R {
-	if err := ValidateWorkers(workers); err != nil {
-		panic(err)
+//   - Cancellation: when ctx is cancelled the pool drains gracefully — no
+//     new trials are claimed, in-flight trials run to completion (so their
+//     results can still be checkpointed) — and the error wraps ctx.Err().
+//   - Panic isolation: a panicking trial is recovered on its worker and
+//     reported as a *PanicError in the returned error; the remaining trials
+//     still run. MustPanicFree turns that back into a panic for fail-loud
+//     callers.
+//   - Completion hook: onDone, when non-nil, is called exactly once per
+//     freshly-completed (non-restored, non-failed) trial with its result.
+//     Calls are serialized under an internal mutex, in completion order. An
+//     onDone error aborts the run like a cancellation (graceful drain) and
+//     is included in the returned error.
+//   - Checkpoint/resume: with opts.Checkpoint enabled, results already
+//     recorded under its Path (same key, same trial count) are restored
+//     from disk instead of re-executed. Every fresh result is appended to
+//     the file, flushed and fsynced every Checkpoint.Every completions —
+//     and always once more on the way out, so a cancelled run's final
+//     state is on disk before Map returns. On full completion the file is
+//     removed. R must round-trip through encoding/json exactly; the
+//     integer-counter results in this repository all do, which is what
+//     makes resumed merges bit-identical.
+//
+// The trial function also receives the stable index of the worker
+// goroutine executing it, in [0, opts.PoolSize(trials)). Two trials that
+// observe the same worker index never run concurrently, and a single-worker
+// run executes every trial inline on the calling goroutine with worker index
+// 0, so engines can keep one reusable scratch arena per worker index instead
+// of allocating per trial. The worker index must only select scratch
+// storage — never influence a trial's result — or the worker-count
+// invariance the package guarantees is lost.
+//
+// On a nil error the result slice is complete.
+func Map[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
+	cp := opts.Checkpoint
+	if !cp.Enabled() {
+		return mapPool(ctx, trials, trial, onDone, opts)
 	}
-	results, err := MapOpts(context.Background(), trials, trial, nil, Options{Workers: workers})
-	MustPanicFree(err)
-	return results
+	if trials < 0 {
+		panic(fmt.Sprintf("trialrunner: trials must be >= 0, got %d", trials))
+	}
+	if dir := filepath.Dir(cp.Path); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("trialrunner: creating checkpoint directory: %w", err)
+		}
+	}
+	faults, _ := opts.Faults.(CheckpointFaults)
+	stored, err := loadCheckpoint(cp, trials, faults)
+	if err != nil {
+		return nil, err
+	}
+	if sr, ok := opts.Observer.(skipReporter); ok && len(stored) > 0 {
+		sr.SkipTrials(len(stored))
+	}
+	var onRetry func(n int64)
+	if rr, ok := opts.Observer.(checkpointRetryReporter); ok {
+		onRetry = rr.AddCheckpointRetries
+	}
+	w, err := newCheckpointWriter(cp, trials, stored, faults, onRetry)
+	if err != nil {
+		return nil, err
+	}
+
+	opts.skip = func(i int) bool {
+		_, ok := stored[i]
+		return ok
+	}
+	wrapped := func(i int, r R) error {
+		if err := w.record(i, r); err != nil {
+			return err
+		}
+		if onDone != nil {
+			return onDone(i, r)
+		}
+		return nil
+	}
+
+	results, runErr := mapPool(ctx, trials, trial, wrapped, opts)
+	if cerr := w.close(); runErr == nil {
+		runErr = cerr
+	}
+	if runErr != nil {
+		return results, runErr
+	}
+	// Restore the skipped trials from the checkpoint before handing the
+	// slice back complete.
+	for i, raw := range stored {
+		if err := json.Unmarshal(raw, &results[i]); err != nil {
+			return results, fmt.Errorf("trialrunner: decoding checkpointed trial %d: %w", i, err)
+		}
+	}
+	if err := os.Remove(cp.Path); err != nil {
+		return results, fmt.Errorf("trialrunner: removing completed checkpoint: %w", err)
+	}
+	return results, nil
 }
 
 // MustPanicFree panics if err is non-nil. A *PanicError re-panics with the
 // original trial's stack appended, so the process still dies with a trace
-// that names the faulty trial. The panic-propagating wrappers (Map, and the
-// engines' Parallel entry points, which delegate to their cancellable
-// Campaign counterparts) use it to keep their historical fail-loud contract.
+// that names the faulty trial. Callers that run a campaign without a
+// cancellable context or a checkpoint (fuzz.Search, the island pool inside
+// each search epoch) use it to keep a fail-loud contract.
 func MustPanicFree(err error) {
 	if err == nil {
 		return
@@ -80,24 +167,17 @@ func MustPanicFree(err error) {
 	panic(err)
 }
 
-// Run executes trials 0..trials-1 across `workers` goroutines and folds the
-// partial results strictly in trial order:
-//
-//	acc := trial(0); acc = merge(acc, trial(1)); ... ; merge(acc, trial(n-1))
-//
-// merge may mutate and return its first argument (every partial result is
-// owned by the fold once its trial completes). Because the fold order is
-// fixed, merge does not need to be commutative — running maxima with
-// first-wins tie-breaking and float accumulation both come out bit-identical
-// for every worker count. Requires trials >= 1.
-func Run[R any](workers, trials int, trial func(i int) R, merge func(acc, next R) R) R {
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: Run requires trials >= 1, got %d", trials))
+// Fold merges results strictly in trial order, starting from results[0].
+// merge may mutate and return its first argument. The fixed order means
+// merge need not be commutative: first-wins maxima and float sums come out
+// bit-identical at every worker count. Requires len(results) >= 1.
+func Fold[R any](results []R, merge func(acc, next R) R) R {
+	if len(results) < 1 {
+		panic("trialrunner: Fold requires at least one result")
 	}
-	results := Map(workers, trials, trial)
 	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
+	for _, r := range results[1:] {
+		acc = merge(acc, r)
 	}
 	return acc
 }

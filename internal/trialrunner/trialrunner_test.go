@@ -1,6 +1,7 @@
 package trialrunner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -18,10 +19,26 @@ func workerCounts() []int {
 	return counts
 }
 
+// mapAt is the fail-loud form of Map the pool tests compare against: no
+// cancellation, no checkpoint, and a panicking trial re-panics.
+func mapAt[R any](workers, trials int, trial func(worker, i int) R) []R {
+	if err := ValidateWorkers(workers); err != nil {
+		panic(err)
+	}
+	results, err := Map(context.Background(), trials, trial, nil, Options{Workers: workers})
+	MustPanicFree(err)
+	return results
+}
+
+// runAt folds mapAt's results in trial order.
+func runAt[R any](workers, trials int, trial func(worker, i int) R, merge func(acc, next R) R) R {
+	return Fold(mapAt(workers, trials, trial), merge)
+}
+
 func TestMapReturnsResultsInTrialOrder(t *testing.T) {
 	for _, workers := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := Map(workers, 100, func(i int) int { return i * i })
+			got := mapAt(workers, 100, func(_, i int) int { return i * i })
 			for i, v := range got {
 				if v != i*i {
 					t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
@@ -39,8 +56,8 @@ func TestRunFoldsInTrialOrder(t *testing.T) {
 		want[i] = i
 	}
 	for _, workers := range workerCounts() {
-		got := Run(workers, len(want),
-			func(i int) []int { return []int{i} },
+		got := runAt(workers, len(want),
+			func(_, i int) []int { return []int{i} },
 			func(acc, next []int) []int { return append(acc, next...) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
@@ -57,7 +74,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	// A seeded stochastic trial: each trial consumes its own derived RNG
 	// stream, so the merged sum must be identical for every worker count.
 	const seed, trials = 99, 200
-	trial := func(i int) uint64 {
+	trial := func(_, i int) uint64 {
 		s := rng.Derived(seed, uint64(i))
 		total := uint64(0)
 		for d := 0; d < 1000; d++ {
@@ -66,20 +83,20 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		return total
 	}
 	merge := func(a, b uint64) uint64 { return a + b }
-	want := Run(1, trials, trial, merge)
+	want := runAt(1, trials, trial, merge)
 	for _, workers := range workerCounts()[1:] {
-		if got := Run(workers, trials, trial, merge); got != want {
+		if got := runAt(workers, trials, trial, merge); got != want {
 			t.Fatalf("workers=%d: merged sum %#x != serial %#x", workers, got, want)
 		}
 	}
 }
 
 func TestMapHandlesEdgeShapes(t *testing.T) {
-	if got := Map(8, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := mapAt(8, 0, func(_, i int) int { return i }); len(got) != 0 {
 		t.Fatalf("0 trials returned %d results", len(got))
 	}
 	// More workers than trials: the pool must clamp, not deadlock.
-	got := Map(64, 3, func(i int) int { return i + 1 })
+	got := mapAt(64, 3, func(_, i int) int { return i + 1 })
 	for i, v := range got {
 		if v != i+1 {
 			t.Fatalf("result[%d] = %d", i, v)
@@ -115,9 +132,11 @@ func TestMapPanicsOnInvalidInput(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Map(0 workers)", func() { Map(0, 5, func(i int) int { return i }) })
-	mustPanic("Map(-1 trials)", func() { Map(1, -1, func(i int) int { return i }) })
-	mustPanic("Run(0 trials)", func() {
-		Run(1, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
+	mustPanic("Map(-1 workers)", func() {
+		Map(context.Background(), 5, func(_, i int) int { return i }, nil, Options{Workers: -1})
 	})
+	mustPanic("Map(-1 trials)", func() {
+		Map(context.Background(), -1, func(_, i int) int { return i }, nil, Options{Workers: 1})
+	})
+	mustPanic("Fold(0 results)", func() { Fold(nil, func(a, b int) int { return a + b }) })
 }

@@ -103,6 +103,16 @@ func All() []Spec {
 	return all
 }
 
+// ByName returns the workload of All with exactly the given name.
+func ByName(name string) (Spec, bool) {
+	for _, s := range All() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Spec{}, false
+}
+
 // Request is one DRAM request of a generated trace.
 type Request struct {
 	// Bank and Row address the request.

@@ -76,6 +76,18 @@ func TestAllIs34Sorted(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, w := range All() {
+		got, ok := ByName(w.Name)
+		if !ok || got.Name != w.Name {
+			t.Fatalf("ByName(%q) = %q, %t", w.Name, got.Name, ok)
+		}
+	}
+	if _, ok := ByName("quake"); ok {
+		t.Fatal("ByName accepted an unknown workload")
+	}
+}
+
 func TestTraceShape(t *testing.T) {
 	spec := Spec{Name: "x", MPKI: 20, RowHitRate: 0.6, MLP: 2}
 	tr := Trace(spec, 32, 1024, 50_000, 1)
