@@ -1,9 +1,13 @@
 // Command pride-replay drives a server-scale topology — N channels × ranks ×
 // banks, each bank owning its own controller, tracker and derived RNG stream
-// — from an ACT-granularity trace. Records are demuxed by (channel, rank,
-// bank) into per-shard queues and replayed by a worker pool; the result is
-// bit-identical at any -workers count, across checkpoint resume, and between
-// a generator-driven run and a replay of the trace it emitted.
+// — from an ACT-granularity trace. Replay runs in three stages: the main
+// goroutine reads and fingerprints the records in fixed-size batches, up to
+// -workers router goroutines sort each batch by (channel, rank, bank) into a
+// per-batch slab, and a pool of -workers goroutines replays the shards, each
+// walking the slabs in batch order. The result is bit-identical at any
+// -workers count, across checkpoint resume, and between a generator-driven
+// run and a replay of the trace it emitted. SIGINT stops the read within one
+// batch and the shard pool once its in-flight shards finish.
 //
 // The trace comes from a file (-trace; the compact binary format or the
 // human-readable text form, sniffed automatically) or from a synthetic

@@ -138,7 +138,8 @@ type Coord struct {
 // precomputed, so the per-record Decode/Encode on the trace-replay hot path
 // costs a handful of shift/mask operations and no validation branches. It is
 // a plain value (no pointer, no allocation); build one with Compile or
-// MustCompile and reuse it.
+// MustCompile and reuse it. Its methods take a pointer receiver so a call
+// from a per-record loop never copies the struct.
 type Compiled struct {
 	m Mapping
 
@@ -186,32 +187,32 @@ func (m Mapping) MustCompile() Compiled {
 }
 
 // Mapping returns the mapping the compiled form was built from.
-func (c Compiled) Mapping() Mapping { return c.m }
+func (c *Compiled) Mapping() Mapping { return c.m }
 
 // Channels returns the number of channels the mapping addresses.
-func (c Compiled) Channels() int { return 1 << c.m.ChannelBits }
+func (c *Compiled) Channels() int { return 1 << c.m.ChannelBits }
 
 // Ranks returns the number of ranks per channel.
-func (c Compiled) Ranks() int { return 1 << c.m.RankBits }
+func (c *Compiled) Ranks() int { return 1 << c.m.RankBits }
 
 // Banks returns the number of banks per rank.
-func (c Compiled) Banks() int { return 1 << c.m.BankBits }
+func (c *Compiled) Banks() int { return 1 << c.m.BankBits }
 
 // Rows returns the number of rows per bank.
-func (c Compiled) Rows() int { return 1 << c.m.RowBits }
+func (c *Compiled) Rows() int { return 1 << c.m.RowBits }
 
 // AddrBits returns the total number of mapped address bits.
-func (c Compiled) AddrBits() int {
+func (c *Compiled) AddrBits() int {
 	return c.m.ColumnBits + c.m.BankBits + c.m.RowBits + c.m.RankBits + c.m.ChannelBits
 }
 
 // InRange reports whether addr is representable under the mapping (no bits
 // above the mapped width). Decode masks such bits off; strict consumers (the
 // trace decoder) reject the address instead.
-func (c Compiled) InRange(addr uint64) bool { return addr&^c.addrMask == 0 }
+func (c *Compiled) InRange(addr uint64) bool { return addr&^c.addrMask == 0 }
 
 // Decode splits addr into coordinates: the allocation-free hot path.
-func (c Compiled) Decode(addr uint64) Coord {
+func (c *Compiled) Decode(addr uint64) Coord {
 	row := (addr >> c.rowShift) & c.rowMask
 	return Coord{
 		Column:  int(addr & c.colMask),
@@ -226,7 +227,7 @@ func (c Compiled) Decode(addr uint64) Coord {
 // row — returning them in registers. The replay demux calls this once per
 // trace record; skipping the column and the Coord struct keeps the per-record
 // cost to the four shift/mask extractions it actually needs.
-func (c Compiled) Route(addr uint64) (channel, rank, bank, row int) {
+func (c *Compiled) Route(addr uint64) (channel, rank, bank, row int) {
 	r := (addr >> c.rowShift) & c.rowMask
 	return int((addr >> c.chanShift) & c.chanMask),
 		int((addr >> c.rankShift) & c.rankMask),
@@ -237,7 +238,7 @@ func (c Compiled) Route(addr uint64) (channel, rank, bank, row int) {
 // Encode is the inverse of Decode. It panics when a coordinate exceeds its
 // field width (the same construction-time misuse the uncompiled path
 // rejected).
-func (c Compiled) Encode(co Coord) uint64 {
+func (c *Compiled) Encode(co Coord) uint64 {
 	check := func(v int, mask uint64, name string) uint64 {
 		if v < 0 || uint64(v) > mask {
 			panic(fmt.Sprintf("addrmap: %s value %d exceeds mask %#x", name, v, mask))
@@ -257,13 +258,15 @@ func (c Compiled) Encode(co Coord) uint64 {
 // every call, so hot paths (the trace decoder, the replay demux) should
 // Compile once and call Compiled.Decode instead.
 func (m Mapping) Decode(addr uint64) Coord {
-	return m.MustCompile().Decode(addr)
+	c := m.MustCompile()
+	return c.Decode(addr)
 }
 
 // Encode is the inverse of Decode, with the same convenience-form caveat:
 // hot paths should hold a Compiled.
-func (m Mapping) Encode(c Coord) uint64 {
-	return m.MustCompile().Encode(c)
+func (m Mapping) Encode(co Coord) uint64 {
+	c := m.MustCompile()
+	return c.Encode(co)
 }
 
 // RowScrambler is a keyed bijection over [0, Rows) standing in for the

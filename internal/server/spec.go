@@ -374,9 +374,14 @@ func (s Spec) prepareReplay() (prepared, error) {
 		return prepared{}, err
 	}
 
+	key := system.ReplayCampaignKey(tcfg, records, crc)
 	return prepared{
-		key: system.ReplayCampaignKey(tcfg, records, crc),
+		key: key,
 		run: func(ctx context.Context, opts trialrunner.Options) (any, error) {
+			// The job is filed under the intake fingerprint's key. Naming
+			// the checkpoint by it up front lets a drain that lands in the
+			// demux still leave the checkpoint the job resumes from.
+			opts.Checkpoint.Key = key
 			topo, err := system.NewTopology(tcfg)
 			if err != nil {
 				return nil, err

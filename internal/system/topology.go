@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
@@ -25,11 +26,20 @@ import (
 //
 // Banks never interact — tFAW throttles bandwidth, not correctness, and the
 // paper's security analysis is per-bank — so a trace replays as independent
-// per-bank ACT streams: the demux pass shards the record stream by
-// (channel, rank, bank), and a trialrunner pool drains the shards with a
-// deterministic shard-order merge. Shard state is built lazily inside each
-// shard's trial from index-derived seeds, so results are bit-identical at
-// any worker count and across repeated replays of the same source.
+// per-bank ACT streams, in three stages:
+//
+//  1. read + fingerprint: the calling goroutine reads fixed-size batches in
+//     stream order, extending the CRC-32C and record count that key the
+//     checkpoint, and checks for cancellation once per batch;
+//  2. route: router goroutines counting-sort each batch by (channel, rank,
+//     bank) into a per-batch row slab with a per-shard offsets table;
+//  3. shard pool: a trialrunner pool replays the shards, each walking the
+//     slabs in batch order, with a deterministic shard-order merge.
+//
+// A shard's rows arrive in record order however the batches were routed, and
+// shard state is built lazily inside each shard's trial from index-derived
+// seeds, so results are bit-identical at any worker count and across
+// repeated replays of the same source.
 type Topology struct {
 	cfg      TopologyConfig
 	compiled addrmap.Compiled
@@ -84,6 +94,9 @@ func (c TopologyConfig) Validate() error {
 		return fmt.Errorf("system: scheme %q has no constructor", c.Scheme.Name)
 	}
 	channels := 1 << c.Mapping.ChannelBits
+	if shards := 1 << (c.Mapping.ChannelBits + c.Mapping.RankBits + c.Mapping.BankBits); shards > maxShards {
+		return fmt.Errorf("system: mapping addresses %d banks, above the %d-shard limit", shards, maxShards)
+	}
 	if n := len(c.RFMBudgets); n != 0 && n != 1 && n != channels {
 		return fmt.Errorf("system: %d RFM budgets for %d channels (want 0, 1, or %d)", n, channels, channels)
 	}
@@ -265,45 +278,101 @@ func ReplayCampaignKey(cfg TopologyConfig, records uint64, crc uint32) string {
 		cfg.ScrambleSeed, cfg.Seed, records, crc)
 }
 
-// demuxBatch is the record batch size of the demux pass: large enough to
-// amortize the Source call, small enough to stay in cache.
-const demuxBatch = 4096
+// demuxBatch is the record batch of the demux pipeline: the reader fills
+// batches of exactly this many records (only the last may be shorter, however
+// the source splits its reads), and each becomes one routed slab. Large
+// enough to amortize the hand-off to a router, small enough that the
+// in-flight buffers stay a few MB.
+const demuxBatch = 1 << 16
 
-// demux shards the record stream by (channel, rank, bank) into per-shard
-// row queues, fingerprinting the decoded records as it goes. The source's
-// mapping must equal the topology's — a trace recorded under one geometry
-// must not silently replay under another.
-func (t *Topology) demux(src trace.Source, progress *trialrunner.Options) (queues [][]int32, records uint64, crc uint32, err error) {
+// maxShards bounds the bank count of a topology. Every routed batch carries
+// a shards+1 offsets table, so the bound keeps that table no larger than the
+// batch's rows: demux memory stays proportional to the trace.
+const maxShards = demuxBatch
+
+// routedBatch is one demux batch counting-sorted by shard: shard s's rows, in
+// record order, are rows[off[s]:off[s+1]].
+type routedBatch struct {
+	rows []int32
+	off  []int32
+}
+
+// demux shards the record stream by (channel, rank, bank) in two stages. The
+// reader stage (readStream, on the calling goroutine) reads fixed-size
+// batches in stream order and fingerprints them; each batch goes to one of
+// opts.PoolSize(shards) router goroutines, which counting-sorts it into a
+// routedBatch. The batches come back in stream order, so walking them in
+// order yields each shard's rows in record order — the same rows at any
+// worker count. The source's mapping must equal the topology's — a trace
+// recorded under one geometry must not silently replay under another.
+func (t *Topology) demux(ctx context.Context, src trace.Source, opts *trialrunner.Options) (batches []*routedBatch, records uint64, crc uint32, err error) {
 	if sm := src.Mapping(); sm != t.cfg.Mapping {
 		return nil, 0, 0, fmt.Errorf("system: trace mapping %s differs from topology mapping %s",
 			sm.String(), t.cfg.Mapping.String())
 	}
-	queues = make([][]int32, t.Shards())
-	var (
-		batch [demuxBatch]uint64
-		le    [demuxBatch * 8]byte
-	)
-	for {
-		n, rerr := src.ReadBatch(batch[:])
-		for i, addr := range batch[:n] {
-			channel, rank, bank, row := t.compiled.Route(addr)
-			shard := (channel*t.ranks+rank)*t.banks + bank
-			queues[shard] = append(queues[shard], int32(row))
-			binary.LittleEndian.PutUint64(le[i*8:], addr)
-		}
-		crc = fingerprintBatch(crc, le[:n*8])
-		records += uint64(n)
-		if n > 0 {
-			progress.AddRecords(int64(n))
-			progress.AddBytes(int64(n) * trace.RecordSize)
-		}
-		if rerr == io.EOF {
-			return queues, records, crc, nil
-		}
-		if rerr != nil {
-			return nil, 0, 0, rerr
-		}
+	type job struct {
+		addrs []uint64
+		out   *routedBatch
 	}
+	routers := opts.PoolSize(t.Shards())
+	// jobs holds at most one queued batch per router, and free every buffer:
+	// one per router plus the one the reader is filling. A router hands its
+	// buffer back once the batch is routed, so neither send ever blocks a
+	// router.
+	jobs := make(chan job, routers)
+	free := make(chan []uint64, routers+1)
+	for i := 0; i < routers; i++ {
+		free <- make([]uint64, demuxBatch)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < routers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cursor := make([]int32, t.Shards())
+			for j := range jobs {
+				*j.out = t.route(j.addrs, cursor)
+				free <- j.addrs[:demuxBatch]
+			}
+		}()
+	}
+	records, crc, err = readStream(ctx, src, opts, func(addrs []uint64) []uint64 {
+		out := &routedBatch{}
+		batches = append(batches, out)
+		jobs <- job{addrs, out}
+		return <-free
+	})
+	close(jobs)
+	wg.Wait()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return batches, records, crc, nil
+}
+
+// route counting-sorts one batch by shard. It overwrites addrs with each
+// record's (shard, row) pair between its two passes; cursor is per-router
+// scratch of Shards() entries.
+func (t *Topology) route(addrs []uint64, cursor []int32) routedBatch {
+	c, ranks, banks := &t.compiled, t.ranks, t.banks
+	off := make([]int32, len(cursor)+1)
+	for i, addr := range addrs {
+		channel, rank, bank, row := c.Route(addr)
+		shard := (channel*ranks+rank)*banks + bank
+		off[shard+1]++
+		addrs[i] = uint64(shard)<<32 | uint64(row)
+	}
+	for s := 1; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	copy(cursor, off)
+	rows := make([]int32, len(addrs))
+	for _, sr := range addrs {
+		shard := sr >> 32
+		rows[cursor[shard]] = int32(uint32(sr))
+		cursor[shard]++
+	}
+	return routedBatch{rows: rows, off: off}
 }
 
 // castagnoli matches internal/trace's record CRC polynomial, so the demux
@@ -311,30 +380,40 @@ func (t *Topology) demux(src trace.Source, progress *trialrunner.Options) (queue
 // regardless of the source implementation.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// fingerprintBatch extends a replay fingerprint over one batch of records
-// already encoded as little-endian bytes. One CRC pass per batch is
-// identical to a per-record update but ~8x cheaper.
-func fingerprintBatch(crc uint32, le []byte) uint32 {
-	return crc32.Update(crc, castagnoli, le)
-}
-
-// Fingerprint drains src and returns its record count and CRC-32C over the
-// little-endian record bytes — exactly the fingerprint ReplayCampaign
-// computes in its demux pass, so ReplayCampaignKey(cfg, Fingerprint(src))
-// equals the checkpoint key a replay of the same records derives. The
-// campaign daemon files replay jobs under that key before running them.
-func Fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
-	var (
-		batch [demuxBatch]uint64
-		le    [demuxBatch * 8]byte
-	)
+// readStream is the reader stage of the demux, and all of Fingerprint. On
+// the calling goroutine it fills a demuxBatch buffer from src with repeated
+// ReadBatch calls until the batch is full or the stream ends, extends the
+// record count and the CRC-32C over the little-endian record bytes, reports
+// the batch to progress, and passes a non-empty batch to route, which
+// returns the buffer for the next one (a nil route reuses the buffer). ctx
+// is checked once per batch; a cancelled read returns an error wrapping
+// ctx.Err().
+func readStream(ctx context.Context, src trace.Source, progress *trialrunner.Options, route func([]uint64) []uint64) (records uint64, crc uint32, err error) {
+	buf := make([]uint64, demuxBatch)
+	le := make([]byte, demuxBatch*8)
 	for {
-		n, rerr := src.ReadBatch(batch[:])
-		for i, addr := range batch[:n] {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, fmt.Errorf("system: demux interrupted after %d records: %w", records, err)
+		}
+		n := 0
+		var rerr error
+		for n < len(buf) && rerr == nil {
+			var k int
+			k, rerr = src.ReadBatch(buf[n:])
+			n += k
+		}
+		for i, addr := range buf[:n] {
 			binary.LittleEndian.PutUint64(le[i*8:], addr)
 		}
-		crc = fingerprintBatch(crc, le[:n*8])
+		crc = crc32.Update(crc, castagnoli, le[:n*8])
 		records += uint64(n)
+		if n > 0 {
+			progress.AddRecords(int64(n))
+			progress.AddBytes(int64(n) * trace.RecordSize)
+			if route != nil {
+				buf = route(buf[:n])
+			}
+		}
 		if rerr == io.EOF {
 			return records, crc, nil
 		}
@@ -344,12 +423,22 @@ func Fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
 	}
 }
 
-// replayShard replays one bank's row queue from scratch: tracker, bank,
+// Fingerprint drains src and returns its record count and CRC-32C over the
+// little-endian record bytes. It is the demux's reader stage with no router
+// attached, so ReplayCampaignKey(cfg, Fingerprint(src)) equals the
+// checkpoint key a replay of the same records derives. The campaign daemon
+// files replay jobs under that key before running them.
+func Fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
+	return readStream(context.Background(), src, &trialrunner.Options{}, nil)
+}
+
+// replayShard replays one bank's rows, walked out of the routed batches in
+// stream order, from scratch: tracker, bank,
 // scrambler and stream are all built from index-derived seeds inside the
 // shard, so the result depends only on (config, shard, queue) — the
 // property that makes replay bit-identical at any worker count and across
 // resumed campaigns.
-func (t *Topology) replayShard(shard int, rows []int32, selfCheck bool) ShardResult {
+func (t *Topology) replayShard(shard int, batches []*routedBatch, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	stream := rng.Derived(t.cfg.Seed, uint64(shard))
 	trk := t.cfg.Scheme.New(t.params, stream)
@@ -366,13 +455,16 @@ func (t *Topology) replayShard(shard int, rows []int32, selfCheck bool) ShardRes
 	if t.cfg.ScrambleSeed != 0 {
 		scr = addrmap.NewRowScrambler(t.params.RowsPerBank, rng.DeriveSeed(t.cfg.ScrambleSeed, uint64(shard)))
 	}
-	if scr != nil {
-		for _, row := range rows {
-			ctrl.Activate(scr.Scramble(int(row)))
-		}
-	} else {
-		for _, row := range rows {
-			ctrl.Activate(int(row))
+	for _, b := range batches {
+		rows := b.rows[b.off[shard]:b.off[shard+1]]
+		if scr != nil {
+			for _, row := range rows {
+				ctrl.Activate(scr.Scramble(int(row)))
+			}
+		} else {
+			for _, row := range rows {
+				ctrl.Activate(int(row))
+			}
 		}
 	}
 
@@ -407,17 +499,29 @@ func (t *Topology) Replay(src trace.Source) (ReplayResult, error) {
 	return t.ReplayCampaign(context.Background(), src, trialrunner.Options{Workers: 1})
 }
 
-// ReplayCampaign replays a trace across the topology: the demux pass shards
-// the stream, then a trialrunner pool drains the shards with a
-// deterministic shard-order merge — bit-identical at any worker count —
-// with cancellation, graceful drain, durable checkpoint/resume and progress
-// metering, the same campaign contract the TTF CLIs keep. opts.SelfCheck
-// adds to the topology's own SelfCheck; opts.Engine must be engine.Exact.
+// ReplayCampaign replays a trace across the topology: the demux shards the
+// stream, then a trialrunner pool drains the shards with a deterministic
+// shard-order merge — bit-identical at any worker count — with cancellation
+// (once per demux batch, then between shards), graceful drain, durable
+// checkpoint/resume and progress metering, the same campaign contract the
+// TTF CLIs keep. opts.SelfCheck adds to the topology's own SelfCheck;
+// opts.Engine must be engine.Exact.
 func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts trialrunner.Options) (ReplayResult, error) {
 	if opts.Engine != engine.Exact {
 		return ReplayResult{}, fmt.Errorf("system: replay is inherently exact, got engine %v", opts.Engine)
 	}
-	queues, records, crc, err := t.demux(src, &opts)
+	batches, records, crc, err := t.demux(ctx, src, &opts)
+	if err != nil && ctx.Err() != nil && opts.Checkpoint.Enabled() && opts.Checkpoint.Key != "" {
+		// An interrupted demux leaves the checkpoint on disk, as an
+		// interruption inside the shard pool does: under the cancelled ctx
+		// Map rewrites the checkpoint (header and any stored shards) and
+		// claims no shard. Without a caller-supplied key there is nothing
+		// to name it by — the key needs the whole stream's fingerprint.
+		_, err = trialrunner.Map(ctx, t.Shards(), func(int, int) ShardResult {
+			panic("system: shard claimed after an interrupted demux")
+		}, nil, opts)
+		err = fmt.Errorf("system: demux interrupted: %w", err)
+	}
 	if err != nil {
 		return ReplayResult{}, err
 	}
@@ -426,7 +530,7 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts tr
 	}
 	selfCheck := t.cfg.SelfCheck || opts.SelfCheck
 	shards, err := trialrunner.Map(ctx, t.Shards(), func(_, i int) ShardResult {
-		return t.replayShard(i, queues[i], selfCheck)
+		return t.replayShard(i, batches, selfCheck)
 	}, func(i int, r ShardResult) error {
 		opts.AddActivations(int64(r.ACTs))
 		opts.AddMitigations(int64(r.Mitigations))

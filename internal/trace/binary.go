@@ -163,15 +163,28 @@ func (tr *Reader) ReadBatch(dst []uint64) (int, error) {
 				return n, err
 			}
 		}
-		addr := binary.LittleEndian.Uint64(tr.buf[tr.start:])
-		if !tr.compiled.InRange(addr) {
-			return n, fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
-				tr.read, tr.offset(), addr, tr.compiled.AddrBits())
+		// Decode every whole record already buffered, up to the batch and
+		// the declared count, with the loop state in locals.
+		k := min((tr.end-tr.start)/RecordSize, len(dst)-n)
+		if left := tr.count - tr.read; uint64(k) > left {
+			k = int(left)
 		}
-		tr.start += RecordSize
-		dst[n] = addr
-		n++
-		tr.read++
+		in := tr.buf[tr.start : tr.start+k*RecordSize]
+		out := dst[n : n+k]
+		c := &tr.compiled
+		for i := range out {
+			addr := binary.LittleEndian.Uint64(in[i*RecordSize:])
+			if !c.InRange(addr) {
+				tr.start += i * RecordSize
+				tr.read += uint64(i)
+				return n + i, fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
+					tr.read, tr.offset(), addr, c.AddrBits())
+			}
+			out[i] = addr
+		}
+		tr.start += k * RecordSize
+		tr.read += uint64(k)
+		n += k
 	}
 	return n, nil
 }
