@@ -24,6 +24,7 @@ import (
 	"pride/internal/core"
 	"pride/internal/dram"
 	"pride/internal/energy"
+	"pride/internal/engine"
 	"pride/internal/fuzz"
 	"pride/internal/montecarlo"
 	"pride/internal/patterns"
@@ -236,7 +237,7 @@ func BenchmarkFig18LossValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		worst := 0.0
 		for _, pat := range suite {
-			m := sim.MeasurePatternLoss(4, w, pat, 400_000, uint64(i))
+			m := sim.MeasurePatternLoss(4, w, pat, 400_000, uint64(i), engine.Exact)
 			// Compare only well-sampled rows: a max over rows with a
 			// handful of resolutions is an order statistic, not a loss
 			// estimate (see cmd/pride-attack's Fig 18 handling).
@@ -479,7 +480,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 				cfg.RowBits = pp.RowBits
 				return core.New(cfg, r)
 			}
-			res := sim.RunAttack(sim.AttackConfig{Params: p, ACTs: 100_000}, s, pat, uint64(i))
+			res := sim.RunAttack(sim.AttackConfig{Params: p, ACTs: 100_000}, s, pat, uint64(i), engine.Exact)
 			if n == 4 {
 				dist4 = res.MaxDisturbance
 			}
@@ -510,7 +511,10 @@ func BenchmarkSystemTTFValidation(b *testing.B) {
 	cfg := system.Config{Params: p, Banks: 2, TRH: 300, MaxTREFI: 100_000}
 	mttf := 0.0
 	for i := 0; i < b.N; i++ {
-		mean, failed := system.MeasureMTTF(cfg, sim.PrIDEScheme(), 3, uint64(i))
+		mean, failed, err := system.MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), 3, uint64(i), trialrunner.Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if failed > 0 {
 			mttf = mean * 1000
 		}

@@ -28,17 +28,13 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/report"
 	"pride/internal/sim"
-	"pride/internal/trialrunner"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected, so the CLI surface (flag
 // parsing, error paths, exit codes) is testable. ctx cancellation (SIGINT in
@@ -59,36 +55,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "base seed")
 		zoo      = fs.Bool("zoo", false, "include the tracker zoo (MINT, MOAT) in Fig 15 and trace replays")
 		csv      = fs.Bool("csv", false, "emit CSV")
-		workers  = fs.Int("workers", trialrunner.DefaultWorkers(),
-			"worker goroutines for attack trials (>= 1; 1 = serial; results are worker-count invariant)")
-		cf cli.CampaignFlags
-		pf cli.ProfileFlags
+		cf       cli.CampaignFlags
 	)
 	cf.Register(fs)
-	pf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := trialrunner.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ctx, stopChaos, faults, err := cf.ChaosContext(ctx)
+	sess, err := cf.Start(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	defer stopChaos()
-	stopProf, err := pf.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}()
+	defer sess.Close()
 
 	if *trace != "" {
 		t, err := replayTrace(*trace, *acts, *seed, *zoo)
@@ -107,15 +85,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var t *report.Table
 	switch *fig {
 	case 15:
-		t, err = fig15(ctx, *nPat, *seeds, *acts, *seed, *workers, *zoo, cf, faults, stderr)
+		t, err = fig15(sess, *nPat, *seeds, *acts, *seed, *zoo)
 	case 18:
-		t, err = fig18(ctx, *scale, *lossActs, *seed, *workers, cf, faults, stderr)
+		t, err = fig18(sess, *scale, *lossActs, *seed)
 	default:
 		fmt.Fprintln(stderr, "unknown figure: use -fig 15 or -fig 18")
 		return 2
 	}
 	if err != nil {
-		return cli.FailureCode(err, cf.Checkpoint, stderr)
+		return sess.FailureCode(err)
 	}
 	if *csv {
 		t.CSV(stdout)
@@ -158,13 +136,13 @@ func replayTrace(path string, acts int, seed uint64, zoo bool) (*report.Table, e
 		schemes = append(schemes, sim.ZooSchemes()...)
 	}
 	for _, s := range schemes {
-		res := sim.RunAttack(cfg, s, pat, seed)
+		res := sim.RunAttack(cfg, s, pat, seed, engine.Exact)
 		t.AddRow(s.Name, res.MaxDisturbance, res.MaxHammers, res.Mitigations)
 	}
 	return t, nil
 }
 
-func fig15(ctx context.Context, nPat, seeds, acts int, seed uint64, workers int, zoo bool, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stderr io.Writer) (*report.Table, error) {
+func fig15(sess *cli.Session, nPat, seeds, acts int, seed uint64, zoo bool) (*report.Table, error) {
 	p := sim.AttackParams()
 	suite := patterns.Fig15Suite(p.RowsPerBank, nPat, seed)
 	cfg := sim.AttackConfig{Params: p, ACTs: acts}
@@ -181,10 +159,9 @@ func fig15(ctx context.Context, nPat, seeds, acts int, seed uint64, workers int,
 	for _, s := range schemes {
 		// One campaign (and one checkpoint file) per scheme: each section
 		// resumes independently and the progress meter names the scheme.
-		section := "fig15-" + s.Name
-		camp, stop := cf.StartCampaign(ctx, section, len(suite)*seeds, workers, stderr)
-		res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, s, suite, seeds, seed+uint64(len(s.Name)), cf.Options(section, workers, camp, faults))
-		stop()
+		opts, done := sess.Section("fig15-"+s.Name, len(suite)*seeds)
+		res, err := sim.MaxDisturbanceOverSuiteCampaign(sess.Context(), cfg, s, suite, seeds, seed+uint64(len(s.Name)), opts)
+		done()
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +170,7 @@ func fig15(ctx context.Context, nPat, seeds, acts int, seed uint64, workers int,
 	return t, nil
 }
 
-func fig18(ctx context.Context, scale, acts int, seed uint64, workers int, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stderr io.Writer) (*report.Table, error) {
+func fig18(sess *cli.Session, scale, acts int, seed uint64) (*report.Table, error) {
 	const rowLimit = 8192
 	w := dram.DDR5().ACTsPerTREFI()
 	suite := patterns.Fig18Suite(rowLimit, scale, seed)
@@ -202,10 +179,9 @@ func fig18(ctx context.Context, scale, acts int, seed uint64, workers int, cf cl
 		"Entries", "Model L", "Worst Measured L", "Traces Above Model (3-sigma)", "Traces")
 	for _, n := range []int{4, 6, 16} {
 		model := analytic.LossProbability(n, w, 1/float64(w))
-		section := fmt.Sprintf("fig18-n%d", n)
-		camp, stop := cf.StartCampaign(ctx, section, len(suite), workers, stderr)
-		measurements, err := sim.MeasureSuiteLossCampaign(ctx, n, w, suite, acts, seed, cf.Options(section, workers, camp, faults))
-		stop()
+		opts, done := sess.Section(fmt.Sprintf("fig18-n%d", n), len(suite))
+		measurements, err := sim.MeasureSuiteLossCampaign(sess.Context(), n, w, suite, acts, seed, opts)
+		done()
 		if err != nil {
 			return nil, err
 		}

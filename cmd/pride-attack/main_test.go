@@ -13,11 +13,23 @@ import (
 	"pride/internal/patterns"
 )
 
+// quietSession starts a campaign session on the given worker count with no
+// checkpoint, chaos, profiling or progress reporting, closed at cleanup.
+func quietSession(t *testing.T, workers int) *cli.Session {
+	t.Helper()
+	s, err := cli.CampaignFlags{Workers: workers}.Start(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 // fig15Quiet / fig18Quiet run the figure builders with no campaign features
 // enabled.
 func fig15Quiet(t *testing.T, nPat, seeds, acts int, seed uint64, workers int) string {
 	t.Helper()
-	tbl, err := fig15(context.Background(), nPat, seeds, acts, seed, workers, false, cli.CampaignFlags{}, nil, io.Discard)
+	tbl, err := fig15(quietSession(t, workers), nPat, seeds, acts, seed, false)
 	if err != nil {
 		t.Fatalf("fig15: %v", err)
 	}
@@ -26,7 +38,7 @@ func fig15Quiet(t *testing.T, nPat, seeds, acts int, seed uint64, workers int) s
 
 func fig18Quiet(t *testing.T, scale, acts int, seed uint64, workers int) string {
 	t.Helper()
-	tbl, err := fig18(context.Background(), scale, acts, seed, workers, cli.CampaignFlags{}, nil, io.Discard)
+	tbl, err := fig18(quietSession(t, workers), scale, acts, seed)
 	if err != nil {
 		t.Fatalf("fig18: %v", err)
 	}
@@ -44,7 +56,7 @@ func TestFig15TableListsAllSchemes(t *testing.T) {
 }
 
 func TestFig15ZooFlagAddsSchemes(t *testing.T) {
-	tbl, err := fig15(context.Background(), 2, 1, 20_000, 1, 2, true, cli.CampaignFlags{}, nil, io.Discard)
+	tbl, err := fig15(quietSession(t, 2), 2, 1, 20_000, 1, true)
 	if err != nil {
 		t.Fatalf("fig15: %v", err)
 	}

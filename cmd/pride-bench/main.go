@@ -266,7 +266,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i))
+					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Exact)
 					sink += uint64(res.MaxDisturbance)
 				}
 			},
@@ -278,7 +278,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := sim.RunAttackEngine(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Event)
+					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Event)
 					sink += uint64(res.MaxDisturbance)
 				}
 			},
@@ -288,7 +288,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := system.RunEngine(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Exact)
+					res := system.Run(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Exact)
 					sink += uint64(res.TREFIsSimulated)
 				}
 			},
@@ -301,7 +301,7 @@ func engines(scale int) []engine {
 				// draw, so ns/tREFI collapses vs the stepped engine.
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := system.RunEngine(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Event)
+					res := system.Run(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Event)
 					sink += uint64(res.TREFIsSimulated)
 				}
 			},
@@ -313,7 +313,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i))
+					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i), eng.Exact)
 					sink += uint64(len(m.Rows))
 				}
 			},
@@ -325,7 +325,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m := sim.MeasurePatternLossEngine(4, w, pat, lossActs, uint64(i), eng.Event)
+					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i), eng.Event)
 					sink += uint64(len(m.Rows))
 				}
 			},

@@ -33,14 +33,9 @@ import (
 	"pride/internal/patterns"
 	"pride/internal/report"
 	"pride/internal/sim"
-	"pride/internal/trialrunner"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected, so the CLI surface (flag
 // parsing, error paths, exit codes) is testable. ctx cancellation (SIGINT in
@@ -64,18 +59,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		save     = fs.String("save", "", "write the worst pattern found to this trace file")
 		corpusTo = fs.String("corpus", "",
 			"write the worst pattern found to this corpus directory as a trace + JSON sidecar entry")
-		workers = fs.Int("workers", trialrunner.DefaultWorkers(),
-			"worker goroutines for island evaluation (>= 1; 1 = serial; results are worker-count invariant)")
 		cf cli.CampaignFlags
-		pf cli.ProfileFlags
 	)
 	cf.Register(fs)
-	pf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := trialrunner.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var schemes []sim.Scheme
@@ -89,22 +76,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		schemes = []sim.Scheme{s}
 	}
-	ctx, stopChaos, faults, err := cf.ChaosContext(ctx)
+	sess, err := cf.Start(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	defer stopChaos()
-	stopProf, err := pf.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}()
+	defer sess.Close()
 
 	cfg := fuzz.Config{
 		Attack:       sim.AttackConfig{Params: sim.AttackParams(), ACTs: *acts, SelfCheck: cf.SelfCheck},
@@ -117,9 +94,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, scheme := range schemes {
-		res, err := search(ctx, cfg, scheme, *seed, *workers, cf, faults, stdout, stderr)
+		res, err := search(sess, cfg, scheme, *seed, stdout)
 		if err != nil {
-			return cli.FailureCode(err, cf.Checkpoint, stderr)
+			return sess.FailureCode(err)
 		}
 		if *save != "" {
 			if err := savePattern(*save, res.BestPattern); err != nil {
@@ -142,11 +119,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // search runs one island-model campaign and renders its report.
-func search(ctx context.Context, cfg fuzz.Config, scheme sim.Scheme, seed uint64, workers int, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stdout, stderr io.Writer) (fuzz.Result, error) {
-	section := "fuzz-" + scheme.Name
-	camp, stop := cf.StartCampaign(ctx, section, cfg.Epochs(), workers, stderr)
-	res, err := fuzz.SearchCampaign(ctx, cfg, scheme, seed, cf.Options(section, workers, camp, faults))
-	stop()
+func search(sess *cli.Session, cfg fuzz.Config, scheme sim.Scheme, seed uint64, stdout io.Writer) (fuzz.Result, error) {
+	opts, done := sess.Section("fuzz-"+scheme.Name, cfg.Epochs())
+	res, err := fuzz.SearchCampaign(sess.Context(), cfg, scheme, seed, opts)
+	done()
 	if err != nil {
 		return fuzz.Result{}, err
 	}

@@ -45,15 +45,10 @@ import (
 	"pride/internal/sim"
 	"pride/internal/system"
 	"pride/internal/trace"
-	"pride/internal/trialrunner"
 	"pride/internal/workload"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected, so the CLI surface (flag
 // parsing, error paths, exit codes) is testable. ctx cancellation (SIGINT in
@@ -77,13 +72,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		scramble = fs.Uint64("scramble-seed", 0, "per-bank row-scrambler seed; 0 disables (trace rows are then internal rows)")
 		seed     = fs.Uint64("seed", 1, "base seed for the per-shard tracker streams")
 		csv      = fs.Bool("csv", false, "emit the per-channel table as CSV")
-		workers  = fs.Int("workers", trialrunner.DefaultWorkers(),
-			"worker goroutines for the shard pool (>= 1; 1 = serial; results are worker-count invariant)")
-		cf cli.CampaignFlags
-		pf cli.ProfileFlags
+		cf       cli.CampaignFlags
 	)
 	cf.RegisterNoEngine(fs)
-	pf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -103,10 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-acts and -workload-seed apply only to -workload mode")
 		return 2
 	}
-	if err := trialrunner.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	scheme, err := sim.SchemeByName(*schemeN)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -117,6 +104,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	sess, err := cf.Start(ctx, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	defer sess.Close()
 
 	// Build the record source: a streamed file or a workload generator.
 	var src trace.Source
@@ -185,29 +178,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ctx, stopChaos, faults, err := cf.ChaosContext(ctx)
+	opts, done := sess.Section("replay", topo.Shards())
+	res, err := topo.ReplayCampaign(sess.Context(), src, opts)
+	snap := done()
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer stopChaos()
-	stopProf, err := pf.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}()
-
-	camp, stop := cf.StartCampaign(ctx, "replay", topo.Shards(), *workers, stderr)
-	res, err := topo.ReplayCampaign(ctx, src, cf.Options("replay", *workers, camp, faults))
-	snap := camp.Snapshot()
-	stop()
-	if err != nil {
-		return cli.FailureCode(err, cf.Checkpoint, stderr)
+		return sess.FailureCode(err)
 	}
 
 	// The stdout report is deterministic (worker-count invariant): the

@@ -20,21 +20,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/dram"
 	"pride/internal/montecarlo"
 	"pride/internal/report"
-	"pride/internal/trialrunner"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected, so the CLI surface (flag
 // parsing, error paths, exit codes) is testable. ctx cancellation (SIGINT in
@@ -53,36 +47,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		mcPeriods = fs.Int("mc-periods", 20_000_000, "Monte-Carlo tREFI periods for Fig 8 (paper: 100M)")
 		seed      = fs.Uint64("seed", 1, "Monte-Carlo seed")
 		ttf       = fs.Float64("ttf", analytic.DefaultTargetTTFYears, "target time-to-fail per bank, years")
-		workers   = fs.Int("workers", trialrunner.DefaultWorkers(),
-			"worker goroutines for Monte-Carlo runs (>= 1; 1 = serial; results are worker-count invariant)")
-		cf cli.CampaignFlags
-		pf cli.ProfileFlags
+		cf        cli.CampaignFlags
 	)
 	cf.Register(fs)
-	pf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := trialrunner.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ctx, stopChaos, faults, err := cf.ChaosContext(ctx)
+	sess, err := cf.Start(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	defer stopChaos()
-	stopProf, err := pf.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}()
+	defer sess.Close()
 
 	p := dram.DDR5()
 	emit := func(t *report.Table) {
@@ -114,9 +90,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ran = true
 	}
 	if want(0, 8) {
-		t, err := fig8(ctx, p, *mcPeriods, *seed, *workers, cf, faults, stderr)
+		t, err := fig8(sess, *mcPeriods, *seed)
 		if err != nil {
-			return cli.FailureCode(err, cf.Checkpoint, stderr)
+			return sess.FailureCode(err)
 		}
 		emit(t)
 		ran = true
@@ -220,15 +196,15 @@ func table2() *report.Table {
 // fig8 runs the Monte-Carlo loss campaign behind Figure 8. It is the one
 // long-running section of this command, so it carries the full campaign
 // plumbing: cancellation, -checkpoint resume and -progress-every metering.
-func fig8(ctx context.Context, p dram.Params, periods int, seed uint64, workers int, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stderr io.Writer) (*report.Table, error) {
-	w := p.ACTsPerTREFI()
-	mc := montecarlo.LossConfig{Entries: 1, Window: w, InsertionProb: 1 / float64(w), Periods: periods}
-	camp, stop := cf.StartCampaign(ctx, "fig8", montecarlo.LossCampaignTrials(mc), workers, stderr)
-	defer stop()
-	res, err := montecarlo.SimulateLossCampaign(ctx, mc, seed, cf.Options("fig8", workers, camp, faults))
+func fig8(sess *cli.Session, periods int, seed uint64) (*report.Table, error) {
+	mc := montecarlo.LossConfig{Periods: periods}.WithFig8Defaults()
+	opts, done := sess.Section("fig8", montecarlo.LossCampaignTrials(mc))
+	defer done()
+	res, err := montecarlo.SimulateLossCampaign(sess.Context(), mc, seed, opts)
 	if err != nil {
 		return nil, err
 	}
+	w := mc.Window
 	t := report.NewTable(
 		fmt.Sprintf("Fig 8: single-entry loss probability vs position (W=%d, %d MC periods)", w, periods),
 		"Position K", "Analytical L_K", "Monte-Carlo L_K")

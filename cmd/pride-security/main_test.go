@@ -17,11 +17,23 @@ import (
 	"pride/internal/trialrunner"
 )
 
+// quietSession starts a campaign session on the given worker count with no
+// checkpoint, chaos, profiling or progress reporting, closed at cleanup.
+func quietSession(t *testing.T, workers int) *cli.Session {
+	t.Helper()
+	s, err := cli.CampaignFlags{Workers: workers}.Start(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 // fig8Quiet calls fig8 with no campaign features enabled, the way the other
 // table builders are exercised.
-func fig8Quiet(t *testing.T, p dram.Params, periods int, seed uint64, workers int) string {
+func fig8Quiet(t *testing.T, periods int, seed uint64, workers int) string {
 	t.Helper()
-	tbl, err := fig8(context.Background(), p, periods, seed, workers, cli.CampaignFlags{}, nil, io.Discard)
+	tbl, err := fig8(quietSession(t, workers), periods, seed)
 	if err != nil {
 		t.Fatalf("fig8: %v", err)
 	}
@@ -34,7 +46,7 @@ func TestEveryTableBuilderProducesRows(t *testing.T) {
 	builders := map[string]func() string{
 		"table1":  func() string { return table1(p).String() },
 		"table2":  func() string { return table2().String() },
-		"fig8":    func() string { return fig8Quiet(t, p, 20_000, 1, 2) },
+		"fig8":    func() string { return fig8Quiet(t, 20_000, 1, 2) },
 		"table3":  func() string { return table3(p, ttf).String() },
 		"fig9":    func() string { return fig9(p, ttf).String() },
 		"table4":  func() string { return table4(p, ttf).String() },
@@ -101,7 +113,7 @@ func TestTable11ShowsPrIDEConstantStorage(t *testing.T) {
 
 func TestFig8TableHasAllPositions(t *testing.T) {
 	p := dram.DDR5()
-	out := fig8Quiet(t, p, 5_000, 1, 1)
+	out := fig8Quiet(t, 5_000, 1, 1)
 	// Header + separator + title + one row per position.
 	want := p.ACTsPerTREFI() + 3
 	if got := strings.Count(strings.TrimSpace(out), "\n") + 1; got != want {
@@ -112,10 +124,9 @@ func TestFig8TableHasAllPositions(t *testing.T) {
 func TestFig8WorkerCountInvariant(t *testing.T) {
 	// The headline determinism guarantee at the CLI layer: the rendered
 	// Fig 8 table is byte-identical for every -workers value.
-	p := dram.DDR5()
-	want := fig8Quiet(t, p, 30_000, 9, 1)
+	want := fig8Quiet(t, 30_000, 9, 1)
 	for _, workers := range []int{2, 4, 7} {
-		if got := fig8Quiet(t, p, 30_000, 9, workers); got != want {
+		if got := fig8Quiet(t, 30_000, 9, workers); got != want {
 			t.Fatalf("fig8 output differs between -workers 1 and -workers %d", workers)
 		}
 	}

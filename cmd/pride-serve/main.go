@@ -29,7 +29,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"pride/internal/cli"
@@ -38,11 +37,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected. ctx cancellation (SIGTERM in
 // production) triggers the graceful drain; the exit code is 130 when the

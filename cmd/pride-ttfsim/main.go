@@ -27,21 +27,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/report"
 	"pride/internal/sim"
 	"pride/internal/system"
-	"pride/internal/trialrunner"
 )
 
-func main() {
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main(run) }
 
 // run is main with its dependencies injected, so the CLI surface (flag
 // parsing, error paths, exit codes) is testable. ctx cancellation (SIGINT in
@@ -60,41 +54,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		rfm     = fs.Int("rfm", 0, "RFM threshold (0 = plain PrIDE)")
 		schemeN = fs.String("scheme", "",
 			`tracker to measure: empty = PrIDE (see -rfm), or "MINT". MOAT is rejected: it is deterministic and cannot fail below ATO, so a TTF measurement is meaningless`)
-		csv     = fs.Bool("csv", false, "emit CSV")
-		workers = fs.Int("workers", trialrunner.DefaultWorkers(),
-			"worker goroutines for the trial pool (>= 1; 1 = serial; results are worker-count invariant)")
-		cf cli.CampaignFlags
-		pf cli.ProfileFlags
+		csv = fs.Bool("csv", false, "emit CSV")
+		cf  cli.CampaignFlags
 	)
 	cf.Register(fs)
-	pf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := trialrunner.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *trials < 1 {
 		fmt.Fprintln(stderr, "-trials must be >= 1")
 		return 2
 	}
-	ctx, stopChaos, faults, err := cf.ChaosContext(ctx)
+	sess, err := cf.Start(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	defer stopChaos()
-	stopProf, err := pf.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}()
+	defer sess.Close()
 
 	params := system.TTFParams()
 
@@ -144,12 +120,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg := system.Config{Params: params, Banks: *banks, TRH: victimThreshold, MaxTREFI: *horizon}
 		// One campaign (and one checkpoint file) per threshold point: each
 		// point resumes independently and the progress meter names it.
-		section := fmt.Sprintf("ttf-trhd%d", d)
-		camp, stop := cf.StartCampaign(ctx, section, *trials, *workers, stderr)
-		mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, *trials, *seed+uint64(d), cf.Options(section, *workers, camp, faults))
-		stop()
+		opts, done := sess.Section(fmt.Sprintf("ttf-trhd%d", d), *trials)
+		mean, failed, err := system.MeasureMTTFCampaign(sess.Context(), cfg, scheme, *trials, *seed+uint64(d), opts)
+		done()
 		if err != nil {
-			return cli.FailureCode(err, cf.Checkpoint, stderr)
+			return sess.FailureCode(err)
 		}
 		predicted := analytic.SystemTTFYears(r, float64(victimThreshold), *banks) * analytic.SecondsPerYear
 		if failed == 0 {

@@ -1,7 +1,8 @@
 // Package cli carries the campaign plumbing shared by the pride commands:
-// the signal-aware run context, the -checkpoint and -progress-every flags,
-// the obs.Campaign reporter lifecycle, and the mapping from campaign errors
-// to process exit codes.
+// the signal-aware run context, the shared campaign flags, and the Session
+// that runs a command's campaigns from them (chaos-bound context, profiler,
+// per-section obs.Campaign reporters and options, and the mapping from
+// campaign errors to process exit codes).
 package cli
 
 import (
@@ -18,7 +19,6 @@ import (
 
 	"pride/internal/engine"
 	"pride/internal/faultinject"
-	"pride/internal/obs"
 	"pride/internal/trialrunner"
 )
 
@@ -30,17 +30,29 @@ const (
 	ExitInterrupted = 130
 )
 
-// SignalContext returns a context cancelled by SIGINT or SIGTERM. The first
+// Main runs a command's injected main (the form tests drive) with the
+// process's arguments and standard streams under signalContext, and exits
+// with the code it returns.
+func Main(run func(ctx context.Context, args []string, stdout, stderr io.Writer) int) {
+	ctx, cancel := signalContext()
+	defer cancel()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// signalContext returns a context cancelled by SIGINT or SIGTERM. The first
 // signal triggers the campaigns' graceful drain (in-flight trials finish and
 // land in the checkpoint); a second signal kills the process the usual way.
-func SignalContext() (context.Context, context.CancelFunc) {
+func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// CampaignFlags holds the shared durability/observability flag values.
+// CampaignFlags holds the flag values every campaign command shares.
 type CampaignFlags struct {
+	// Workers is the trial pool size (>= 1; 1 = serial). Results are
+	// worker-count invariant; only wall-clock time changes.
+	Workers int
 	// Checkpoint is the checkpoint base path ("" disables). Sections of a
-	// multi-section run each derive their own file from it (CheckpointAt).
+	// multi-section run each derive their own file from it (Session.Section).
 	Checkpoint string
 	// ProgressEvery is the progress-line cadence (0 disables).
 	ProgressEvery time.Duration
@@ -65,16 +77,22 @@ type CampaignFlags struct {
 	// faultinject.Parse. ChaosSeed seeds its deterministic streams.
 	Chaos     string
 	ChaosSeed uint64
+	// CPUProfile and MemProfile are runtime/pprof output paths ("" disables),
+	// directly consumable by `go tool pprof`; see EXPERIMENTS.md. The heap
+	// profile is captured on the way out, after a final GC, so it reflects
+	// live heap rather than transient garbage.
+	CPUProfile string
+	MemProfile string
 }
 
-// Register installs the -checkpoint, -progress-every and -engine flags on fs.
+// Register installs the campaign flags, -engine included, on fs.
 func (c *CampaignFlags) Register(fs *flag.FlagSet) {
 	c.Engine.Kind = engine.Event
 	fs.Var(&c.Engine, "engine",
 		`simulation engine: "event" (geometric skip-ahead) or "exact" (per-ACT reference; bit-compatible with pre-engine checkpoints)`)
 	fs.BoolVar(&c.SelfCheck, "selfcheck", false,
 		"enable runtime invariant guards; an event-engine trial whose guard trips re-runs on the exact engine")
-	c.registerDurability(fs)
+	c.registerShared(fs)
 }
 
 // RegisterNoEngine installs the campaign flags for commands whose
@@ -86,12 +104,14 @@ func (c *CampaignFlags) RegisterNoEngine(fs *flag.FlagSet) {
 	c.Engine.Kind = engine.Exact
 	fs.BoolVar(&c.SelfCheck, "selfcheck", false,
 		"enable runtime invariant guards in the controllers, banks and trackers")
-	c.registerDurability(fs)
+	c.registerShared(fs)
 }
 
-// registerDurability installs the engine-independent durability and
-// observability flags shared by Register and RegisterNoEngine.
-func (c *CampaignFlags) registerDurability(fs *flag.FlagSet) {
+// registerShared installs the engine-independent worker, durability,
+// observability and profiling flags shared by Register and RegisterNoEngine.
+func (c *CampaignFlags) registerShared(fs *flag.FlagSet) {
+	fs.IntVar(&c.Workers, "workers", trialrunner.DefaultWorkers(),
+		"worker goroutines for the campaign's trials (>= 1; 1 = serial; results are worker-count invariant)")
 	fs.StringVar(&c.Checkpoint, "checkpoint", "",
 		"checkpoint base path: completed trials are persisted there and an interrupted run resumes from it (\"\" disables)")
 	fs.DurationVar(&c.ProgressEvery, "progress-every", 0,
@@ -106,55 +126,24 @@ func (c *CampaignFlags) registerDurability(fs *flag.FlagSet) {
 		`deterministic fault-injection schedule, e.g. "checkpoint.write:nth=2,kind=shortwrite;trial.panic:nth=1" ("" disables)`)
 	fs.Uint64Var(&c.ChaosSeed, "chaos-seed", 1,
 		"seed for the -chaos schedule's probabilistic triggers")
+	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
+		"write a CPU profile to this file (\"\" disables)")
+	fs.StringVar(&c.MemProfile, "memprofile", "",
+		"write a heap profile to this file on exit (\"\" disables)")
 }
 
-// RetryPolicy maps the -trial-retries / -trial-deadline flags to the
-// trialrunner policy (retries are attempts beyond the first).
-func (c CampaignFlags) RetryPolicy() trialrunner.RetryPolicy {
-	p := trialrunner.Retries(c.TrialRetries)
-	p.Deadline = c.TrialDeadline
-	return p
-}
-
-// Options assembles one section's campaign options from the flags, with
-// camp as Progress sink and Observer and ChaosContext's faults.
-func (c CampaignFlags) Options(section string, workers int, camp *obs.Campaign, faults trialrunner.TrialFaults) trialrunner.Options {
-	return trialrunner.Options{
-		Workers:    workers,
-		Checkpoint: c.CheckpointAt(section),
-		Progress:   camp,
-		Observer:   camp,
-		Engine:     c.Engine.Kind,
-		SelfCheck:  c.SelfCheck,
-		Retry:      c.RetryPolicy(),
-		Faults:     faults,
-	}
-}
-
-// Injector parses the -chaos schedule into a fault injector, or returns nil
-// when chaos is disabled. Callers must assign the result to a campaign's
-// Faults field only when it is non-nil (a typed-nil interface would defeat
-// the campaigns' Faults == nil fast path).
-func (c CampaignFlags) Injector() (*faultinject.Injector, error) {
+// chaosContext wires the -chaos schedule: it parses the injector, binds its
+// trial.cancel site to a context derived from ctx, and returns the Faults
+// value to thread into campaign options. When chaos is disabled the original
+// context and an untyped nil Faults come back (a typed-nil injector would
+// defeat the campaigns' Faults == nil fast path), with a no-op stop.
+func (c CampaignFlags) chaosContext(ctx context.Context) (context.Context, context.CancelFunc, trialrunner.TrialFaults, error) {
 	if c.Chaos == "" {
-		return nil, nil
+		return ctx, func() {}, nil, nil
 	}
 	inj, err := faultinject.Parse(c.ChaosSeed, c.Chaos)
 	if err != nil {
-		return nil, fmt.Errorf("-chaos: %w", err)
-	}
-	return inj, nil
-}
-
-// ChaosContext wires the -chaos schedule for a command: it parses the
-// injector, binds its trial.cancel site to a context derived from ctx, and
-// returns the Faults value to thread into campaign options. When chaos is
-// disabled the original context and a nil Faults interface come back (never
-// a typed-nil injector), with a no-op stop. Callers must defer stop.
-func (c CampaignFlags) ChaosContext(ctx context.Context) (context.Context, context.CancelFunc, trialrunner.TrialFaults, error) {
-	inj, err := c.Injector()
-	if err != nil || inj == nil {
-		return ctx, func() {}, nil, err
+		return ctx, func() {}, nil, fmt.Errorf("-chaos: %w", err)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	inj.BindCancel(cancel)
@@ -174,12 +163,12 @@ func sanitizeSuffix(s string) string {
 	}, s)
 }
 
-// CheckpointAt derives the checkpoint for one section of a run: the base
+// checkpointAt derives the checkpoint for one section of a run: the base
 // path plus a sanitized section suffix, so the sections of a multi-section
 // command (one per scheme, per buffer size, per threshold point) never share
 // a file. Returns a disabled Checkpoint when no base path is set; the Key is
 // left empty for the engine to fill with its canonical experiment key.
-func (c CampaignFlags) CheckpointAt(section string) trialrunner.Checkpoint {
+func (c CampaignFlags) checkpointAt(section string) trialrunner.Checkpoint {
 	if c.Checkpoint == "" {
 		return trialrunner.Checkpoint{}
 	}
@@ -190,29 +179,11 @@ func (c CampaignFlags) CheckpointAt(section string) trialrunner.Checkpoint {
 	return trialrunner.Checkpoint{Path: path, ForceFresh: c.CheckpointForce}
 }
 
-// StartCampaign creates an obs.Campaign, publishes it on the expvar surface,
-// and — when -progress-every is set — starts its periodic reporter on
-// stderr. The returned stop function is idempotent-safe to defer: it halts
-// the reporter (blocking until no further line can land), emits one final
-// summary line when reporting was enabled, and unpublishes the campaign.
-func (c CampaignFlags) StartCampaign(ctx context.Context, name string, trials, workers int, stderr io.Writer) (*obs.Campaign, func()) {
-	camp := obs.NewCampaign(name, trials, workers)
-	camp.Publish()
-	stopReporter := camp.StartReporter(ctx, stderr, c.ProgressEvery)
-	return camp, func() {
-		stopReporter()
-		if c.ProgressEvery > 0 {
-			fmt.Fprintln(stderr, camp.Line())
-		}
-		camp.Unpublish()
-	}
-}
-
-// FailureCode diagnoses a campaign error on stderr and maps it to an exit
+// failureCode diagnoses a campaign error on stderr and maps it to an exit
 // code: ExitInterrupted for a cancelled run (with a resume hint when a
 // checkpoint was kept), ExitError for everything else (the full panic stack
 // of a faulty trial included).
-func FailureCode(err error, checkpointBase string, stderr io.Writer) int {
+func failureCode(err error, checkpointBase string, stderr io.Writer) int {
 	var pe *trialrunner.PanicError
 	if errors.As(err, &pe) {
 		fmt.Fprintf(stderr, "%v\n%s", err, pe.Stack)

@@ -3,6 +3,7 @@ package cli
 import (
 	"context"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"syscall"
@@ -14,10 +15,16 @@ import (
 )
 
 func TestRetryPolicyMapping(t *testing.T) {
-	if p := (CampaignFlags{}).RetryPolicy(); p != (trialrunner.RetryPolicy{}) {
+	retryPolicy := func(c CampaignFlags) trialrunner.RetryPolicy {
+		c.Workers = 1
+		opts, done := startSession(t, c, io.Discard).Section("retry", 1)
+		done()
+		return opts.Retry
+	}
+	if p := retryPolicy(CampaignFlags{}); p != (trialrunner.RetryPolicy{}) {
 		t.Fatalf("zero flags produced policy %+v", p)
 	}
-	p := CampaignFlags{TrialRetries: 2, TrialDeadline: 30 * time.Second}.RetryPolicy()
+	p := retryPolicy(CampaignFlags{TrialRetries: 2, TrialDeadline: 30 * time.Second})
 	if p.Attempts != 3 {
 		t.Fatalf("2 retries mapped to %d attempts, want 3 (1 initial + 2 retries)", p.Attempts)
 	}
@@ -27,18 +34,24 @@ func TestRetryPolicyMapping(t *testing.T) {
 }
 
 func TestInjectorParsesChaosSpec(t *testing.T) {
-	inj, err := CampaignFlags{}.Injector()
-	if err != nil || inj != nil {
-		t.Fatalf("disabled chaos returned (%v, %v)", inj, err)
+	injector := func(c CampaignFlags) (trialrunner.TrialFaults, error) {
+		_, stop, faults, err := c.chaosContext(context.Background())
+		t.Cleanup(stop)
+		return faults, err
+	}
+	faults, err := injector(CampaignFlags{})
+	if err != nil || faults != nil {
+		t.Fatalf("disabled chaos returned (%v, %v)", faults, err)
 	}
 
 	c := CampaignFlags{Chaos: "checkpoint.write:nth=2,kind=shortwrite;trial.panic:nth=1,kind=panic", ChaosSeed: 7}
-	inj, err = c.Injector()
+	faults, err = injector(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj == nil {
-		t.Fatal("armed chaos returned nil injector")
+	inj, ok := faults.(*faultinject.Injector)
+	if !ok || inj == nil {
+		t.Fatalf("armed chaos returned %T, want a *faultinject.Injector", faults)
 	}
 	// The spec round-trips through the injector, so -chaos values are
 	// reproducible from logs.
@@ -49,7 +62,7 @@ func TestInjectorParsesChaosSpec(t *testing.T) {
 		}
 	}
 
-	if _, err := (CampaignFlags{Chaos: "trial.panic:nth=bogus"}).Injector(); err == nil {
+	if _, err := injector(CampaignFlags{Chaos: "trial.panic:nth=bogus"}); err == nil {
 		t.Fatal("malformed -chaos spec parsed without error")
 	} else if !strings.Contains(err.Error(), "-chaos") {
 		t.Fatalf("parse error does not name the flag: %v", err)
@@ -58,7 +71,7 @@ func TestInjectorParsesChaosSpec(t *testing.T) {
 
 func TestChaosContextDisabledReturnsUntypedNil(t *testing.T) {
 	ctx := context.Background()
-	got, stop, faults, err := CampaignFlags{}.ChaosContext(ctx)
+	got, stop, faults, err := CampaignFlags{}.chaosContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +88,7 @@ func TestChaosContextDisabledReturnsUntypedNil(t *testing.T) {
 
 func TestChaosContextBindsCancelSite(t *testing.T) {
 	c := CampaignFlags{Chaos: "trial.cancel:nth=1", ChaosSeed: 1}
-	ctx, stop, faults, err := c.ChaosContext(context.Background())
+	ctx, stop, faults, err := c.chaosContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +109,17 @@ func TestChaosContextBindsCancelSite(t *testing.T) {
 		t.Fatal("trial.cancel fired but the chaos context never cancelled")
 	}
 
-	if _, _, _, err := (CampaignFlags{Chaos: "::"}).ChaosContext(context.Background()); err == nil {
-		t.Fatal("malformed spec did not surface through ChaosContext")
+	if _, _, _, err := (CampaignFlags{Chaos: "::"}).chaosContext(context.Background()); err == nil {
+		t.Fatal("malformed spec did not surface through chaosContext")
 	}
 }
 
 func TestCheckpointAtCarriesForceFresh(t *testing.T) {
 	c := CampaignFlags{Checkpoint: "/tmp/run.ckpt", CheckpointForce: true}
-	if cp := c.CheckpointAt("fig8"); !cp.ForceFresh {
+	if cp := c.checkpointAt("fig8"); !cp.ForceFresh {
 		t.Fatal("-checkpoint-force not threaded into the section checkpoint")
 	}
-	if cp := (CampaignFlags{CheckpointForce: true}).CheckpointAt("fig8"); cp.ForceFresh {
+	if cp := (CampaignFlags{CheckpointForce: true}).checkpointAt("fig8"); cp.ForceFresh {
 		t.Fatal("disabled checkpoint carries ForceFresh")
 	}
 }
@@ -136,7 +149,7 @@ func TestRegisterInstallsResilienceFlags(t *testing.T) {
 // (the signal a container runtime or batch scheduler sends) drains a
 // campaign exactly like SIGINT instead of killing the process mid-write.
 func TestSignalContextCancelsOnSIGTERM(t *testing.T) {
-	ctx, cancel := SignalContext()
+	ctx, cancel := signalContext()
 	defer cancel()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

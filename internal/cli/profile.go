@@ -1,45 +1,20 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// ProfileFlags holds the shared -cpuprofile/-memprofile flag values. The
-// profiles are written with runtime/pprof and are directly consumable by
-// `go tool pprof`; see EXPERIMENTS.md for the workflow.
-type ProfileFlags struct {
-	// CPUProfile is the CPU profile output path ("" disables).
-	CPUProfile string
-	// MemProfile is the heap profile output path ("" disables). The profile
-	// is captured on the way out, after a final GC, so it reflects live heap
-	// rather than transient garbage.
-	MemProfile string
-}
-
-// Register installs the -cpuprofile and -memprofile flags on fs.
-func (p *ProfileFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&p.CPUProfile, "cpuprofile", "",
-		"write a CPU profile to this file (\"\" disables)")
-	fs.StringVar(&p.MemProfile, "memprofile", "",
-		"write a heap profile to this file on exit (\"\" disables)")
-}
-
-// Enabled reports whether any profile output was requested.
-func (p ProfileFlags) Enabled() bool { return p.CPUProfile != "" || p.MemProfile != "" }
-
-// Start begins CPU profiling when -cpuprofile is set and returns a stop
-// function that finishes the CPU profile and, when -memprofile is set,
-// captures the heap profile. Stop is idempotent, so it is safe both to defer
-// it and to call it explicitly on the success path. With no profiling flags
-// set, Start is a no-op returning a no-op stop.
-func (p ProfileFlags) Start() (stop func() error, err error) {
+// startProfile begins CPU profiling when -cpuprofile is set and returns a
+// stop function that finishes the CPU profile and, when -memprofile is set,
+// captures the heap profile. Stop is idempotent. With no profiling flags set,
+// startProfile is a no-op returning a no-op stop.
+func (c CampaignFlags) startProfile() (stop func() error, err error) {
 	var cpuFile *os.File
-	if p.CPUProfile != "" {
-		f, err := os.Create(p.CPUProfile)
+	if c.CPUProfile != "" {
+		f, err := os.Create(c.CPUProfile)
 		if err != nil {
 			return nil, fmt.Errorf("cli: creating CPU profile: %w", err)
 		}
@@ -62,8 +37,8 @@ func (p ProfileFlags) Start() (stop func() error, err error) {
 				first = fmt.Errorf("cli: closing CPU profile: %w", err)
 			}
 		}
-		if p.MemProfile != "" {
-			f, err := os.Create(p.MemProfile)
+		if c.MemProfile != "" {
+			f, err := os.Create(c.MemProfile)
 			if err != nil {
 				if first == nil {
 					first = fmt.Errorf("cli: creating heap profile: %w", err)

@@ -9,27 +9,23 @@ import (
 )
 
 func TestProfileFlagsRegister(t *testing.T) {
-	var p ProfileFlags
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	p.Register(fs)
-	if err := fs.Parse([]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}); err != nil {
-		t.Fatal(err)
-	}
-	if p.CPUProfile != "cpu.out" || p.MemProfile != "mem.out" {
-		t.Fatalf("parsed flags = %+v", p)
-	}
-	if !p.Enabled() {
-		t.Fatal("Enabled() = false with both profiles set")
+	for _, register := range []func(*CampaignFlags, *flag.FlagSet){(*CampaignFlags).Register, (*CampaignFlags).RegisterNoEngine} {
+		var p CampaignFlags
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		register(&p, fs)
+		if err := fs.Parse([]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}); err != nil {
+			t.Fatal(err)
+		}
+		if p.CPUProfile != "cpu.out" || p.MemProfile != "mem.out" {
+			t.Fatalf("parsed flags = %+v", p)
+		}
 	}
 }
 
 func TestProfileFlagsDisabledIsNoop(t *testing.T) {
-	var p ProfileFlags
-	if p.Enabled() {
-		t.Fatal("zero value reports enabled")
-	}
-	stop, err := p.Start()
+	var p CampaignFlags
+	stop, err := p.startProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +39,11 @@ func TestProfileFlagsDisabledIsNoop(t *testing.T) {
 
 func TestProfileFlagsWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
-	p := ProfileFlags{
+	p := CampaignFlags{
 		CPUProfile: filepath.Join(dir, "cpu.pprof"),
 		MemProfile: filepath.Join(dir, "mem.pprof"),
 	}
-	stop, err := p.Start()
+	stop, err := p.startProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +72,15 @@ func TestProfileFlagsWritesProfiles(t *testing.T) {
 }
 
 func TestProfileFlagsBadCPUPathFailsFast(t *testing.T) {
-	p := ProfileFlags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof")}
-	if _, err := p.Start(); err == nil {
+	p := CampaignFlags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof")}
+	if _, err := p.startProfile(); err == nil {
 		t.Fatal("Start succeeded with an unwritable CPU profile path")
 	}
 }
 
 func TestProfileFlagsBadMemPathSurfacesOnStop(t *testing.T) {
-	p := ProfileFlags{MemProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")}
-	stop, err := p.Start()
+	p := CampaignFlags{MemProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")}
+	stop, err := p.startProfile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,7 +317,7 @@ func evolve(cfg Config, scheme sim.Scheme, st *IslandState, gens int, r *rng.Str
 // activations under a private simulation seed drawn from the island stream.
 func evaluate(cfg Config, scheme sim.Scheme, g Genome, r *rng.Stream) Member {
 	seed := r.Uint64()
-	res := sim.RunAttackEngine(cfg.Attack, scheme, g.Build(), seed, cfg.Engine)
+	res := sim.RunAttack(cfg.Attack, scheme, g.Build(), seed, cfg.Engine)
 	return Member{Genome: g, Score: res.MaxDisturbance, Seed: seed}
 }
 

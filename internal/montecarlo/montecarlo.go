@@ -12,6 +12,7 @@ package montecarlo
 import (
 	"fmt"
 
+	"pride/internal/dram"
 	"pride/internal/guard"
 	"pride/internal/rng"
 )
@@ -39,6 +40,24 @@ type LossConfig struct {
 // the calling binary); services validating externally-supplied specs call
 // this first and turn the error into a client-facing rejection instead.
 func (c LossConfig) Validate() error { return c.validate() }
+
+// WithFig8Defaults returns c with each zero Entries, Window and
+// InsertionProb filled in from Figure 8's configuration: a single-entry
+// tracker, W = the DDR5 ACTs per tREFI, and p = 1/W (of the caller's W when
+// one is set). pride-security's Fig 8 and the daemon's security jobs both
+// start from it, so their campaign keys agree.
+func (c LossConfig) WithFig8Defaults() LossConfig {
+	if c.Window == 0 {
+		c.Window = dram.DDR5().ACTsPerTREFI()
+	}
+	if c.Entries == 0 {
+		c.Entries = 1
+	}
+	if c.InsertionProb == 0 {
+		c.InsertionProb = 1 / float64(c.Window)
+	}
+	return c
+}
 
 func (c LossConfig) validate() error {
 	switch {

@@ -334,6 +334,43 @@ func TestLimiterRefills(t *testing.T) {
 	}
 }
 
+// TestTornResultFileIsRecomputed pins crash recovery of the result cache: a
+// results/<id>.json left empty or unparsable (a write torn by a crash) is a
+// cache miss, so resubmitting the spec reruns the job, replaces the file,
+// and returns a result byte-identical to a fresh daemon's.
+func TestTornResultFileIsRecomputed(t *testing.T) {
+	_, fresh := testServer(t, Config{})
+	_, j, _ := postSpec(t, fresh, smallSecuritySpec(5), nil)
+	want := waitState(t, fresh, j.ID, StateDone, StateFailed)
+	if want.State != StateDone {
+		t.Fatalf("reference job failed: %s", want.Error)
+	}
+
+	for _, torn := range []string{"", `{"key":"security|`} {
+		dir := t.TempDir()
+		results := filepath.Join(dir, "results")
+		if err := os.MkdirAll(results, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(results, j.ID+".json"), []byte(torn), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := testServer(t, Config{DataDir: dir})
+		code, j2, body := postSpec(t, ts, smallSecuritySpec(5), nil)
+		if code != http.StatusAccepted || j2.ID != j.ID {
+			t.Fatalf("torn file %q: submit = %d (%s), want 202 for job %s", torn, code, body, j.ID)
+		}
+		got := waitState(t, ts, j.ID, StateDone, StateFailed)
+		if got.State != StateDone || !bytes.Equal(got.Result, want.Result) {
+			t.Fatalf("torn file %q: recomputed %s %s, want %s", torn, got.State, got.Result, want.Result)
+		}
+		// The rerun replaced the torn file: the next submission is a hit.
+		if code, j3, _ := postSpec(t, ts, smallSecuritySpec(5), nil); code != http.StatusOK || !j3.Cached || !bytes.Equal(j3.Result, want.Result) {
+			t.Fatalf("torn file %q: after rerun submit = %d %+v, want a cached hit", torn, code, j3)
+		}
+	}
+}
+
 func TestStoreRejectsKeyCollision(t *testing.T) {
 	st, err := newResultStore(t.TempDir(), nil)
 	if err != nil {

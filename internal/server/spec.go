@@ -180,23 +180,13 @@ type SecurityResult struct {
 
 func (s Spec) prepareSecurity(eng engine.Kind) (prepared, error) {
 	sub := *s.Security
-	p := dram.DDR5()
-	if sub.Window == 0 {
-		sub.Window = p.ACTsPerTREFI()
-	}
-	if sub.Entries == 0 {
-		sub.Entries = 1
-	}
-	if sub.InsertionProb == 0 {
-		sub.InsertionProb = 1 / float64(sub.Window)
-	}
 	cfg := montecarlo.LossConfig{
 		Entries:       sub.Entries,
 		Window:        sub.Window,
 		InsertionProb: sub.InsertionProb,
 		Periods:       sub.Periods,
 		SelfCheck:     s.SelfCheck,
-	}
+	}.WithFig8Defaults()
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
 	}

@@ -47,7 +47,13 @@ func TestSecurityKeyMatchesCLIKey(t *testing.T) {
 	// The server's cache key must be the exact checkpoint key the
 	// equivalent CLI run derives — that identity is what makes a CLI
 	// checkpoint and a server cache entry interchangeable descriptions of
-	// the same computation. Each want is built the way its CLI builds it.
+	// the same computation. Each want comes from the library key function
+	// the CLI calls, with the spec's parameters. For attack that pins only
+	// the key function, not a pride-attack invocation: pride-attack builds
+	// the suite from -seed but uses -seed+len(scheme name) as the base seed,
+	// and its key counts len(suite) = -patterns+1 (Fig15Suite appends one
+	// pattern), while the daemon keys the spec's pattern count and uses the
+	// spec seed for both.
 	cases := []struct {
 		kind string
 		spec Spec

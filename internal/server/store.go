@@ -42,9 +42,10 @@ type resultEnvelope struct {
 }
 
 // resultStore persists completed job results under dir, one JSON file per
-// cache key, written atomically (tmp + rename). Writes consult the
-// job.result-write fault site and absorb transient failures with a bounded
-// backoff, mirroring the checkpoint writer's durability contract.
+// cache key, written atomically and durably (fsynced tmp + rename + directory
+// fsync). Writes consult the job.result-write fault site and absorb
+// transient failures with a bounded backoff, mirroring the checkpoint
+// writer's durability contract.
 type resultStore struct {
 	dir    string
 	faults *faultinject.Injector
@@ -65,8 +66,10 @@ func (s *resultStore) path(id string) string {
 }
 
 // Get returns the stored envelope for the given key, reporting whether one
-// exists. A file whose embedded key differs (a truncated-hash collision, or
-// a corrupted file) is an error, never a silent wrong-result cache hit.
+// exists. An unparsable file (a write torn by a crash) is a miss, so the job
+// reruns and Put replaces it. A well-formed file whose embedded key differs
+// (a truncated-hash collision) is an error, never a silent wrong-result
+// cache hit.
 func (s *resultStore) Get(key string) (resultEnvelope, bool, error) {
 	data, err := os.ReadFile(s.path(jobID(key)))
 	if os.IsNotExist(err) {
@@ -76,8 +79,8 @@ func (s *resultStore) Get(key string) (resultEnvelope, bool, error) {
 		return resultEnvelope{}, false, err
 	}
 	var env resultEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return resultEnvelope{}, false, fmt.Errorf("server: result %s: %v", jobID(key), err)
+	if json.Unmarshal(data, &env) != nil {
+		return resultEnvelope{}, false, nil
 	}
 	if env.Key != key {
 		return resultEnvelope{}, false, fmt.Errorf("server: result %s holds key %q, want %q", jobID(key), env.Key, key)
@@ -132,9 +135,28 @@ func (s *resultStore) writeOnce(id string, data []byte) error {
 			return err
 		}
 	}
+	// Sync the file before the rename and the directory after it, so a
+	// crash leaves either the old file or the complete new one.
 	tmp := s.path(id) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.path(id))
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path(id))
+	}
+	if err != nil {
+		return err
+	}
+	if d, err := os.Open(s.dir); err == nil {
+		d.Sync() // best effort, as for checkpoints: some filesystems reject it
+		d.Close()
+	}
+	return nil
 }

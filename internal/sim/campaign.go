@@ -51,11 +51,15 @@ func mergeWorst(acc, next AttackResult) AttackResult {
 }
 
 // AttackCampaignKey is the canonical checkpoint key of a Fig 15 suite
-// campaign: everything the trial grid and per-trial seeds depend on
-// (configuration, scheme name, suite size, seeds per pattern, base seed) and
-// nothing else. Pattern suites are deterministic given their size in this
-// repository; a caller mixing suites of equal length under one path must set
-// Checkpoint.Key itself.
+// campaign: the configuration, scheme name, suite size, seeds per pattern
+// and base seed, and nothing else. The suite enters only through its length,
+// but patterns.Fig15Suite also depends on the seed it is built from, which
+// need not be the base seed: the daemon builds the suite from its spec seed
+// and uses that seed as the base seed, while pride-attack builds the suite
+// from -seed and uses -seed+len(scheme name) as each scheme's base seed. The
+// key therefore names one computation only within one such convention; a
+// caller that can pair a key with different suites must set Checkpoint.Key
+// itself.
 func AttackCampaignKey(cfg AttackConfig, s Scheme, suiteLen, seeds int, baseSeed uint64, eng engine.Kind) string {
 	return fmt.Sprintf("sim.attack|scheme=%s|params=%+v|acts=%d|trh=%d|policy=%d|patterns=%d|seeds=%d|seed=%d%s",
 		s.Name, cfg.Params, cfg.ACTs, cfg.TRH, cfg.Policy, suiteLen, seeds, baseSeed, engine.KeySuffix(eng))

@@ -39,11 +39,12 @@ import (
 // PrIDE ablations) and the OpenPage policy (activations depend on row-buffer
 // state, so slots are not iid) fall back to the exact loop.
 
-// RunAttackEngine is RunAttack on the selected engine. The event engine
+// RunAttack replays one pattern against one scheme for cfg.ACTs activations
+// on the selected engine and returns the measured metrics. The event engine
 // falls back to the exact loop when the scheme's tracker does not support
 // skip-ahead or the policy is OpenPage; the fallback constructs the trial
-// identically to RunAttack, so it is bit-identical to the exact engine.
-func RunAttackEngine(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, eng engine.Kind) AttackResult {
+// identically to the exact engine, so it is bit-identical to it.
+func RunAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, eng engine.Kind) AttackResult {
 	return runAttackEngine(cfg, s, pat, seed, nil, eng)
 }
 
@@ -157,11 +158,6 @@ func idleACTs(ctrl *memctrl.Controller, pat *patterns.Pattern, n int) {
 		pat.Advance(k)
 		n -= k
 	}
-}
-
-// MeasurePatternLossEngine is MeasurePatternLoss on the selected engine.
-func MeasurePatternLossEngine(entries, w int, pat *patterns.Pattern, acts int, seed uint64, eng engine.Kind) LossMeasurement {
-	return measurePatternLossEngine(entries, w, pat, acts, seed, &lossMeasureScratch{}, eng, false)
 }
 
 func measurePatternLossEngine(entries, w int, pat *patterns.Pattern, acts int, seed uint64, sc *lossMeasureScratch, eng engine.Kind, selfCheck bool) LossMeasurement {

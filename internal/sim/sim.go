@@ -268,15 +268,9 @@ func (sc *attackScratch) clone(suite []*patterns.Pattern, i int) *patterns.Patte
 	return sc.clones[i]
 }
 
-// RunAttack replays one pattern against one scheme for cfg.ACTs activations
-// and returns the measured metrics.
-func RunAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64) AttackResult {
-	return runAttack(cfg, s, pat, seed, nil)
-}
-
-// runAttack is RunAttack against a caller-supplied, freshly-reset bank
-// matching cfg (nil allocates one), so campaign workers can reuse a bank
-// across trials.
+// runAttack is the exact-engine RunAttack against a caller-supplied,
+// freshly-reset bank matching cfg (nil allocates one), so campaign workers
+// can reuse a bank across trials.
 func runAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, bank *dram.Bank) AttackResult {
 	if cfg.ACTs <= 0 {
 		panic(fmt.Sprintf("sim: ACTs must be positive, got %d", cfg.ACTs))
@@ -336,7 +330,7 @@ func MaxDisturbanceOverSuite(cfg AttackConfig, s Scheme, suite []*patterns.Patte
 	seedStream := rng.New(baseSeed)
 	for _, pat := range suite {
 		for t := 0; t < seeds; t++ {
-			res := RunAttack(cfg, s, pat, seedStream.Uint64())
+			res := runAttack(cfg, s, pat, seedStream.Uint64(), nil)
 			if res.MaxDisturbance > worst.MaxDisturbance {
 				worst.MaxDisturbance = res.MaxDisturbance
 				worst.Pattern = pat.Name

@@ -29,14 +29,16 @@ func MTTFCampaignKey(cfg Config, s sim.Scheme, trials int, seed uint64, eng engi
 		s.Name, cfg.Params, cfg.Banks, cfg.TRH, cfg.MaxTREFI, trials, seed, engine.KeySuffix(eng))
 }
 
-// MeasureMTTFCampaign is the campaign form of MeasureMTTF: the same
-// independent system-level trials with the same index-derived seeds
-// (rng.DeriveSeed(seed, t)), run on a trialrunner pool. Trial results fold in
-// trial order, so the measured mean and failure count are a pure function of
-// (cfg, s, trials, seed, engine) — on the exact engine bit-identical to the
-// serial sampler — and the worker count only changes wall-clock time. On top
-// come cancellation with graceful drain, per-trial panic isolation, durable
-// checkpoint/resume, and progress metering.
+// MeasureMTTFCampaign runs `trials` independent system simulations and
+// returns the mean time-to-fail in seconds over the failing trials, plus how
+// many trials failed within the horizon; comparing the mean against
+// analytic.SystemTTFYears validates the Eq. 1 / Section VII-C chain
+// empirically. Trial t runs Run with seed rng.DeriveSeed(seed, t) on a
+// trialrunner pool and results fold in trial order, so the mean and failure
+// count are a pure function of (cfg, s, trials, seed, engine) and the worker
+// count only changes wall-clock time. On top come cancellation with graceful
+// drain, per-trial panic isolation, durable checkpoint/resume, and progress
+// metering.
 func MeasureMTTFCampaign(ctx context.Context, cfg Config, s sim.Scheme, trials int, seed uint64, opts trialrunner.Options) (meanSeconds float64, failed int, err error) {
 	if trials < 1 {
 		panic(fmt.Sprintf("system: trials must be >= 1, got %d", trials))

@@ -34,8 +34,8 @@ func pOneScheme() sim.Scheme {
 func TestRunEngineBitIdenticalAtPOne(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 3, TRH: 400, MaxTREFI: 3000}
 	for seed := uint64(1); seed <= 3; seed++ {
-		exact := RunEngine(cfg, pOneScheme(), seed, engine.Exact)
-		event := RunEngine(cfg, pOneScheme(), seed, engine.Event)
+		exact := Run(cfg, pOneScheme(), seed, engine.Exact)
+		event := Run(cfg, pOneScheme(), seed, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("seed %d: p=1 engines diverged:\nexact %+v\nevent %+v", seed, exact, event)
 		}
@@ -54,24 +54,25 @@ func TestRunEngineFallsBackWithoutSkipAhead(t *testing.T) {
 		},
 	}
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 80, MaxTREFI: 3000}
-	exact := Run(cfg, prohit, 7)
-	event := RunEngine(cfg, prohit, 7, engine.Event)
+	exact := Run(cfg, prohit, 7, engine.Exact)
+	event := Run(cfg, prohit, 7, engine.Event)
 	if !reflect.DeepEqual(exact, event) {
 		t.Fatalf("fallback diverged:\nexact %+v\nevent %+v", exact, event)
 	}
 }
 
-// TestMeasureMTTFEngineAgreesWithCampaign pins the serial sampler's engine
-// plumbing: MeasureMTTFEngine derives trial seeds exactly like
-// MeasureMTTFCampaign, so for EITHER engine the serial measurement and a
-// multi-worker campaign are bit-identical. (Before MeasureMTTFEngine the
-// serial path drew seeds sequentially and hardwired the exact engine, so the
-// two samplers could never be compared trial for trial.)
+// TestMeasureMTTFEngineAgreesWithCampaign pins the campaign's engine
+// plumbing: trial seeds are index-derived, so for EITHER engine a serial
+// (one-worker) campaign and a multi-worker campaign are bit-identical.
 func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 8, 11
 	for _, eng := range []engine.Kind{engine.Exact, engine.Event} {
-		serialMean, serialFailed := MeasureMTTFEngine(cfg, sim.PrIDEScheme(), trials, seed, eng)
+		serialMean, serialFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
+			trialrunner.Options{Workers: 1, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
 		campMean, campFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
 			trialrunner.Options{Workers: 4, Engine: eng})
 		if err != nil {
@@ -95,7 +96,7 @@ func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 // twins and the p=1 engine identity above.
 func TestRunEventMultiTREFIAdvance(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 1, TRH: 100_000, MaxTREFI: 100_000}
-	res := RunEngine(cfg, sim.PrIDEScheme(), 5, engine.Event)
+	res := Run(cfg, sim.PrIDEScheme(), 5, engine.Event)
 	if res.Failed {
 		t.Fatalf("unexpected failure at TRH=100000: %+v", res)
 	}

@@ -44,7 +44,7 @@ func TestMeasureMTTFParallelAgreesWithSerialSampler(t *testing.T) {
 	// Same index-derived trial seeds, same estimator: the serial sampler and
 	// the worker pool must agree bit for bit, not just statistically.
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 120, MaxTREFI: 40_000}
-	serialMean, serialFailed := MeasureMTTF(cfg, sim.PrIDEScheme(), 8, 23)
+	serialMean, serialFailed := mttfAt(cfg, sim.PrIDEScheme(), 8, 23, 1)
 	parMean, parFailed := mttfAt(cfg, sim.PrIDEScheme(), 8, 23, 4)
 	if serialFailed < 6 {
 		t.Fatalf("insufficient failures: serial %d", serialFailed)

@@ -113,16 +113,11 @@ func (sc *runScratch) prepare(n int) {
 // the first bit flip or the horizon. Each bank runs the scheme with an
 // independent RNG stream; time advances in lockstep, one tREFI at a time
 // (W activations per bank per tREFI — the saturated-bus worst case of the
-// paper's analysis).
-func Run(cfg Config, s sim.Scheme, seed uint64) Result {
-	return run(cfg, s, seed, &runScratch{}, engine.Exact)
-}
-
-// RunEngine is Run on the selected engine. The event engine carries each
-// bank's geometric insertion gap across tREFI boundaries and retires the
-// idle stretches through memctrl.ActivateRun; it falls back to the exact
-// loop when the scheme's tracker does not support skip-ahead.
-func RunEngine(cfg Config, s sim.Scheme, seed uint64, eng engine.Kind) Result {
+// paper's analysis). The event engine carries each bank's geometric
+// insertion gap across tREFI boundaries and retires the idle stretches
+// through memctrl.ActivateRun; it falls back to the exact loop when the
+// scheme's tracker does not support skip-ahead.
+func Run(cfg Config, s sim.Scheme, seed uint64, eng engine.Kind) Result {
 	return run(cfg, s, seed, &runScratch{}, eng)
 }
 
@@ -287,36 +282,4 @@ func (b *bankState) idleACTs(n int) {
 		b.pat.Advance(k)
 		n -= k
 	}
-}
-
-// MeasureMTTF runs `trials` independent system simulations and returns the
-// mean time-to-fail in seconds over the failing trials, plus how many
-// trials failed within the horizon. Comparing the mean against
-// analytic.SystemTTFYears validates the Eq. 1 / Section VII-C chain
-// empirically.
-func MeasureMTTF(cfg Config, s sim.Scheme, trials int, seed uint64) (meanSeconds float64, failed int) {
-	return MeasureMTTFEngine(cfg, s, trials, seed, engine.Exact)
-}
-
-// MeasureMTTFEngine is MeasureMTTF on the selected engine. Trial seeds are
-// index-derived exactly like MeasureMTTFCampaign's, so a serial measurement
-// agrees trial-for-trial with a campaign at any worker count — on the same
-// engine, bit for bit.
-func MeasureMTTFEngine(cfg Config, s sim.Scheme, trials int, seed uint64, eng engine.Kind) (meanSeconds float64, failed int) {
-	if trials < 1 {
-		panic(fmt.Sprintf("system: trials must be >= 1, got %d", trials))
-	}
-	var sc runScratch
-	total := 0.0
-	for t := 0; t < trials; t++ {
-		res := run(cfg, s, rng.DeriveSeed(seed, uint64(t)), &sc, eng)
-		if res.Failed {
-			failed++
-			total += res.TimeToFail.Seconds()
-		}
-	}
-	if failed == 0 {
-		return 0, 0
-	}
-	return total / float64(failed), failed
 }

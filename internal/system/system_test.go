@@ -7,6 +7,7 @@ import (
 
 	"pride/internal/analytic"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func sysParams() dram.Params {
 
 func TestFailsQuicklyAtTinyThreshold(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 100, MaxTREFI: 5000}
-	res := Run(cfg, sim.PrIDEScheme(), 1)
+	res := Run(cfg, sim.PrIDEScheme(), 1, engine.Exact)
 	if !res.Failed {
 		t.Fatal("no failure at TRH=100 within 5000 tREFI; tracker is suspiciously perfect")
 	}
@@ -33,7 +34,7 @@ func TestSurvivesAtHighThreshold(t *testing.T) {
 	// PrIDE's analytic TTF is thousands of years; a 20K-tREFI horizon
 	// (~78ms) must see nothing.
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 4000, MaxTREFI: 20_000}
-	res := Run(cfg, sim.PrIDEScheme(), 2)
+	res := Run(cfg, sim.PrIDEScheme(), 2, engine.Exact)
 	if res.Failed {
 		t.Fatalf("failure at TRH=4000 after %v — analytic TTF is ~10^3 years", res.TimeToFail)
 	}
@@ -49,7 +50,7 @@ func TestMeasuredMTTFMatchesAnalyticOrder(t *testing.T) {
 	const banks = 4
 	const victimTRH = 500 // device TRH-D = 250
 	cfg := Config{Params: p, Banks: banks, TRH: victimTRH, MaxTREFI: 200_000}
-	mean, failed := MeasureMTTF(cfg, sim.PrIDEScheme(), 12, 3)
+	mean, failed := mttfAt(cfg, sim.PrIDEScheme(), 12, 3, 1)
 	if failed < 8 {
 		t.Fatalf("only %d/12 trials failed; cannot estimate MTTF", failed)
 	}
@@ -80,8 +81,8 @@ func TestMeasuredMTTFMatchesAnalyticOrder(t *testing.T) {
 
 func TestMoreBanksFailSooner(t *testing.T) {
 	p := sysParams()
-	one, failed1 := MeasureMTTF(Config{Params: p, Banks: 1, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5)
-	many, failedN := MeasureMTTF(Config{Params: p, Banks: 8, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5)
+	one, failed1 := mttfAt(Config{Params: p, Banks: 1, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5, 1)
+	many, failedN := mttfAt(Config{Params: p, Banks: 8, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5, 1)
 	if failed1 < 8 || failedN < 8 {
 		t.Fatalf("insufficient failures: %d, %d", failed1, failedN)
 	}
@@ -93,8 +94,8 @@ func TestMoreBanksFailSooner(t *testing.T) {
 func TestRFMExtendsTTF(t *testing.T) {
 	p := sysParams()
 	cfg := Config{Params: p, Banks: 2, TRH: 400, MaxTREFI: 60_000}
-	base, bFailed := MeasureMTTF(cfg, sim.PrIDEScheme(), 8, 7)
-	_, rFailed := MeasureMTTF(cfg, sim.PrIDERFMScheme(16), 8, 7)
+	base, bFailed := mttfAt(cfg, sim.PrIDEScheme(), 8, 7, 1)
+	_, rFailed := mttfAt(cfg, sim.PrIDERFMScheme(16), 8, 7, 1)
 	if bFailed < 6 {
 		t.Fatalf("baseline PrIDE failed only %d/8 times at TRH=400", bFailed)
 	}
@@ -110,8 +111,8 @@ func TestRFMExtendsTTF(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 20_000}
-	a := Run(cfg, sim.PrIDEScheme(), 42)
-	b := Run(cfg, sim.PrIDEScheme(), 42)
+	a := Run(cfg, sim.PrIDEScheme(), 42, engine.Exact)
+	b := Run(cfg, sim.PrIDEScheme(), 42, engine.Exact)
 	if a != b {
 		t.Fatalf("identical runs differ: %+v vs %+v", a, b)
 	}
@@ -135,8 +136,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MeasureMTTF with 0 trials did not panic")
+			t.Fatal("MeasureMTTFCampaign with 0 trials did not panic")
 		}
 	}()
-	MeasureMTTF(good, sim.PrIDEScheme(), 0, 1)
+	mttfAt(good, sim.PrIDEScheme(), 0, 1, 1)
 }
